@@ -332,6 +332,8 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
         ->Set(static_cast<int64_t>(merged.spill_files));
     spill->AddCounter("buckets_restored")
         ->Set(static_cast<int64_t>(spill_manager_->buckets_restored()));
+    spill->AddCounter("restore_time", Unit::kNanos)
+        ->Set(static_cast<int64_t>(spill_manager_->restore_ns()));
   }
 
   // Worker nodes go through the real MergeFrom path: each worker's stats
@@ -692,8 +694,8 @@ void AggregationOperator::DispatchBucket(uint64_t parent_pass_id, uint32_t p,
     if (spilled || (!is_final && !child.empty() &&
                     spill_manager_->ShouldSpill())) {
       // The in-memory leftovers join the partition's stream so restore
-      // sees the complete bucket, then the bucket waits for the
-      // sequential drain phase instead of growing the resident set now.
+      // sees the complete bucket, then the bucket waits for a restore
+      // wave of the drain phase instead of growing the resident set now.
       for (Run& r : child) spill_manager_->SpillRun(key, &r);
       spill_manager_->EnqueueBucket(key, level);
       return;
@@ -703,36 +705,30 @@ void AggregationOperator::DispatchBucket(uint64_t parent_pass_id, uint32_t p,
 }
 
 Status AggregationOperator::DrainSpilledBuckets() {
-  SpillManager::PendingBucket desc;
-  while (spill_manager_->TakePending(&desc)) {
-    // One bucket at a time: restore it, run its subtree to completion
-    // (which may spill deeper buckets back into the queue — levels
-    // strictly increase, so this terminates), then take the next. The
-    // queue is drained sequentially precisely so that only one spilled
-    // bucket's working set is resident at once.
-    try {
-      Run run(key_words_, layout_);
-      spill_manager_->Restore(desc, &run);
-      Bucket bucket;
-      bucket.push_back(std::move(run));
-      ScheduleBucket(std::move(bucket), desc.level);
-    } catch (const StatusError& e) {
-      return MergeAbortStatus(scheduler_->WaitGroup(group_.get()),
-                              e.status());
-    } catch (const MemoryBudgetExceeded& e) {
-      // Even a single bucket did not fit; surface the typed admission
-      // failure (the budget is simply too small to make progress).
-      return MergeAbortStatus(scheduler_->WaitGroup(group_.get()),
-                              Status::ResourceExhausted(e.what()));
-    } catch (const std::exception& e) {
-      return MergeAbortStatus(
-          scheduler_->WaitGroup(group_.get()),
-          std::string("spilled bucket restore failed: ") + e.what());
+  // A wave's passes may spill deeper buckets back into the queue; levels
+  // strictly increase, so this terminates.
+  for (;;) {
+    std::vector<SpillManager::PendingBucket> wave =
+        spill_manager_->TakeWave(num_threads());
+    if (wave.empty()) return Status::Ok();
+    for (const SpillManager::PendingBucket& desc : wave) {
+      scheduler_->Submit(group_.get(), [this, desc](int worker_id) {
+        Run run(key_words_, layout_);
+        {
+          obs::PassScope span(options_.obs, /*counters=*/nullptr, worker_id,
+                              "restore", desc.level, desc.key);
+          span.set_query(options_.query_id);
+          span.set_rows(desc.rows);
+          spill_manager_->Restore(desc, &run);
+        }
+        Bucket bucket;
+        bucket.push_back(std::move(run));
+        ScheduleBucket(std::move(bucket), desc.level);
+      });
     }
     Status e = scheduler_->WaitGroup(group_.get());
     if (!e.ok()) return e;
   }
-  return Status::Ok();
 }
 
 void AggregationOperator::ScheduleBucket(Bucket bucket, int level) {
@@ -845,10 +841,10 @@ Status AggregationOperator::AssembleResult(ResultTable* result) {
   // disjoint group sets, so they are streamed straight into the result
   // arrays below — the pooled run store (and thus the budget) is never
   // touched on their way back.
-  std::vector<SpillManager::FinalSegment> spilled;
+  std::vector<SpillManager::Segment> spilled;
   if (spill_manager_ != nullptr) {
     spilled = spill_manager_->TakeFinalSegments();
-    for (const SpillManager::FinalSegment& seg : spilled) total += seg.rows;
+    for (const SpillManager::Segment& seg : spilled) total += seg.rows;
   }
 
   result->keys.resize(total);
@@ -889,40 +885,46 @@ Status AggregationOperator::AssembleResult(ResultTable* result) {
     }
     offset += r->size();
   }
-  for (const SpillManager::FinalSegment& seg : spilled) {
-    const size_t rows = static_cast<size_t>(seg.rows);
-    Status rs = spill_manager_->ReadSegmentColumn(seg, 0,
-                                                  result->keys.data() + offset);
+  // Result column of each segment column (key words, then state words).
+  // An AVG's sum column has none: its slices wait in `avg_sums` until the
+  // count column, which the segment stores right after it, finishes the
+  // quotient into `avg_of`'s f64 column.
+  const int cols = key_words_ + layout_.total_words;
+  std::vector<uint64_t*> dst(cols, nullptr);
+  std::vector<double*> avg_of(cols, nullptr);
+  dst[0] = result->keys.data();
+  for (int w = 1; w < key_words_; ++w) {
+    dst[w] = result->extra_keys[w - 1].data();
+  }
+  for (size_t s = 0; s < layout_.specs.size(); ++s) {
+    const int col = key_words_ + layout_.word_offset[s];
+    ResultColumn& out = result->aggregates[s];
+    if (out.fn == AggFn::kAvg) {
+      avg_of[col + 1] = out.f64.data();
+    } else {
+      dst[col] = out.u64.data();
+    }
+  }
+  std::vector<uint64_t> avg_sums;
+  for (const SpillManager::Segment& seg : spilled) {
+    avg_sums.resize(static_cast<size_t>(seg.rows));
+    Status rs = spill_manager_->ReadFinalSegment(
+        seg, [&](int col, uint64_t row, const uint64_t* data, size_t n) {
+          if (dst[col] != nullptr) {
+            std::copy(data, data + n, dst[col] + offset + row);
+          } else if (avg_of[col] == nullptr) {
+            std::copy(data, data + n, avg_sums.data() + row);
+          } else {
+            double* out = avg_of[col] + offset + row;
+            for (size_t i = 0; i < n; ++i) {
+              out[i] = data[i] == 0 ? 0.0
+                                    : static_cast<double>(avg_sums[row + i]) /
+                                          static_cast<double>(data[i]);
+            }
+          }
+        });
     if (!rs.ok()) return rs;
-    for (int w = 1; w < key_words_; ++w) {
-      rs = spill_manager_->ReadSegmentColumn(
-          seg, w, result->extra_keys[w - 1].data() + offset);
-      if (!rs.ok()) return rs;
-    }
-    for (size_t s = 0; s < layout_.specs.size(); ++s) {
-      const int off = layout_.word_offset[s];
-      ResultColumn& col = result->aggregates[s];
-      if (col.fn == AggFn::kAvg) {
-        std::vector<uint64_t> sums(rows), counts(rows);
-        rs = spill_manager_->ReadSegmentColumn(seg, key_words_ + off,
-                                               sums.data());
-        if (!rs.ok()) return rs;
-        rs = spill_manager_->ReadSegmentColumn(seg, key_words_ + off + 1,
-                                               counts.data());
-        if (!rs.ok()) return rs;
-        for (size_t i = 0; i < rows; ++i) {
-          col.f64[offset + i] = counts[i] == 0
-                                    ? 0.0
-                                    : static_cast<double>(sums[i]) /
-                                          static_cast<double>(counts[i]);
-        }
-      } else {
-        rs = spill_manager_->ReadSegmentColumn(seg, key_words_ + off,
-                                               col.u64.data() + offset);
-        if (!rs.ok()) return rs;
-      }
-    }
-    offset += rows;
+    offset += static_cast<size_t>(seg.rows);
   }
   CEA_CHECK(offset == total);
   return Status::Ok();

@@ -192,11 +192,13 @@ class AggregationOperator {
   // Routes a completed pass's child bucket: schedules it in memory, or —
   // when its partition already spilled, or the budget is under pressure —
   // moves the in-memory runs to the partition's spill stream and queues
-  // the bucket for the sequential restore phase.
+  // the bucket for the restore phase.
   void DispatchBucket(uint64_t parent_pass_id, uint32_t p, Bucket child,
                       int level);
-  // Restores queued spilled buckets one at a time (so only one bucket's
-  // working set is resident) and runs each to completion.
+  // Restores queued spilled buckets in waves of up to one bucket per
+  // worker, bounded by the budget's free room (SpillManager::TakeWave):
+  // each bucket is restored (traced as a "restore" span) and scheduled by
+  // its own task, and each wave runs to completion before the next.
   Status DrainSpilledBuckets();
   void SchedulePass(std::shared_ptr<Pass> pass);
   void RunPassWorker(const std::shared_ptr<Pass>& pass, int worker_id);

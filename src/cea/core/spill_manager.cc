@@ -1,5 +1,9 @@
 #include "cea/core/spill_manager.h"
 
+#include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "cea/common/check.h"
@@ -9,15 +13,60 @@ namespace cea {
 
 namespace {
 
-// Restore scratch stays within the pool's size classes: one AppendBulk of
+// Restore appends stay within the pool's size classes: one AppendBulk of
 // more than kMaxChunkElems would allocate an unpooled oversize chunk, and
 // oversize chunks Reserve() against the budget on every allocation — the
 // restore path must live off recycled inventory when the limit is tiny.
-constexpr size_t kScratchElems = ChunkedArray::kMaxChunkElems;
+constexpr size_t kMaxAppendElems = ChunkedArray::kMaxChunkElems;
 
 void ThrowIo(Status s) { throw StatusError(std::move(s)); }
 
+uint64_t AlignUp(uint64_t bytes) {
+  return (bytes + SpillFile::kAlign - 1) & ~uint64_t{SpillFile::kAlign - 1};
+}
+
+// A read window owned by one read call. Like SpillFile's staging buffer it
+// is plain I/O memory outside the MemoryBudget: reads run exactly when the
+// budget is tight.
+struct WindowDeleter {
+  void operator()(char* p) const { std::free(p); }
+};
+using Window = std::unique_ptr<char, WindowDeleter>;
+
+// A window for segments of up to `max_segment_bytes`, capped at kBufBytes.
+Window AllocWindow(uint64_t max_segment_bytes, size_t* bytes) {
+  *bytes = static_cast<size_t>(
+      std::min<uint64_t>(AlignUp(max_segment_bytes), SpillFile::kBufBytes));
+  return Window(
+      static_cast<char*>(std::aligned_alloc(SpillFile::kAlign, *bytes)));
+}
+
+// Free room of the process budget for restored runs: what the limit still
+// allows plus idle pool inventory; unlimited without a limit.
+uint64_t BudgetFreeRoom() {
+  const MemoryBudget& budget = MemoryBudget::Global();
+  const uint64_t limit = budget.limit();
+  if (limit == 0) return std::numeric_limits<uint64_t>::max();
+  const uint64_t room = limit + ChunkPool::Global().pooled_free_bytes();
+  const uint64_t used = budget.used();
+  return room > used ? room - used : 0;
+}
+
 }  // namespace
+
+size_t RestoreWaveSize(const std::vector<uint64_t>& restore_bytes,
+                       uint64_t free_room, int max_buckets) {
+  const size_t limit =
+      std::min(restore_bytes.size(), static_cast<size_t>(max_buckets));
+  if (limit == 0) return 0;
+  uint64_t sum = restore_bytes[0];
+  size_t take = 1;
+  for (; take < limit; ++take) {
+    sum += restore_bytes[take];
+    if (sum > free_room / 2) break;
+  }
+  return take;
+}
 
 SpillManager::SpillManager(Config config, int key_words,
                            const StateLayout& layout,
@@ -124,43 +173,83 @@ void SpillManager::EnqueueBucket(uint64_t key, int level) {
   }
 }
 
-std::vector<SpillManager::FinalSegment> SpillManager::TakeFinalSegments() {
-  std::vector<FinalSegment> out;
+std::vector<SpillManager::Segment> SpillManager::TakeFinalSegments() {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = streams_.find(kFinalKey);
-  if (it == streams_.end()) return out;
-  out.reserve(it->second.segments.size());
-  for (const Segment& seg : it->second.segments) {
-    out.push_back({seg.rows, seg.file_offset});
-  }
+  if (it == streams_.end()) return {};
+  std::vector<Segment> out = std::move(it->second.segments);
   streams_.erase(it);
   return out;
 }
 
-Status SpillManager::ReadSegmentColumn(const FinalSegment& seg, int col,
-                                       uint64_t* dst) {
-  CEA_CHECK(col >= 0 && col < key_words_ + state_words_);
-  std::lock_guard<std::mutex> io(io_mutex_);
-  Status s = file_.ReadAt(
-      seg.file_offset +
-          static_cast<uint64_t>(col) * seg.rows * sizeof(uint64_t),
-      dst, seg.rows * sizeof(uint64_t));
+uint64_t SpillManager::RestoreBytes(uint64_t rows) const {
+  return rows * static_cast<uint64_t>(key_words_ + state_words_) *
+         sizeof(uint64_t);
+}
+
+Status SpillManager::ReadSegment(const Segment& seg, char* buf,
+                                 size_t buf_bytes,
+                                 const SliceSink& sink) const {
+  const uint64_t words =
+      seg.rows * static_cast<uint64_t>(key_words_ + state_words_);
+  const size_t window_words = buf_bytes / sizeof(uint64_t);
+  const uint64_t* data = reinterpret_cast<const uint64_t*>(buf);
+  for (uint64_t word = 0; word < words;) {
+    if (control_ != nullptr) {
+      Status c = control_->Check();
+      if (!c.ok()) return c;
+    }
+    // The segment starts on a block and Align padded its tail, so whole
+    // blocks from here stay inside it.
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(window_words, words - word));
+    Status rs = file_.ReadBlocks(seg.file_offset + word * sizeof(uint64_t),
+                                 buf, AlignUp(n * sizeof(uint64_t)));
+    if (!rs.ok()) return rs;
+    for (size_t i = 0; i < n;) {
+      const uint64_t w = word + i;
+      const uint64_t row = w % seg.rows;
+      const size_t take =
+          static_cast<size_t>(std::min<uint64_t>(n - i, seg.rows - row));
+      sink(static_cast<int>(w / seg.rows), row, data + i, take);
+      i += take;
+    }
+    word += n;
+  }
+  return Status::Ok();
+}
+
+Status SpillManager::ReadFinalSegment(const Segment& seg,
+                                      const SliceSink& sink) {
+  size_t buf_bytes = 0;
+  Window buf = AllocWindow(RestoreBytes(seg.rows), &buf_bytes);
+  if (buf == nullptr) {
+    return Status::RuntimeError("spill: cannot allocate read window");
+  }
+  Status s = ReadSegment(seg, buf.get(), buf_bytes, sink);
   if (s.ok()) {
-    bytes_read_.fetch_add(seg.rows * sizeof(uint64_t),
-                          std::memory_order_relaxed);
+    bytes_read_.fetch_add(RestoreBytes(seg.rows), std::memory_order_relaxed);
   }
   return s;
 }
 
-bool SpillManager::TakePending(PendingBucket* out) {
+std::vector<SpillManager::PendingBucket> SpillManager::TakeWave(
+    int max_buckets) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (pending_.empty()) return false;
-  *out = pending_.front();
-  pending_.pop_front();
-  return true;
+  std::vector<uint64_t> bytes;
+  for (size_t i = 0; i < pending_.size() &&
+                     i < static_cast<size_t>(max_buckets);
+       ++i) {
+    bytes.push_back(RestoreBytes(pending_[i].rows));
+  }
+  const size_t take = RestoreWaveSize(bytes, BudgetFreeRoom(), max_buckets);
+  std::vector<PendingBucket> wave(pending_.begin(), pending_.begin() + take);
+  pending_.erase(pending_.begin(), pending_.begin() + take);
+  return wave;
 }
 
 void SpillManager::Restore(const PendingBucket& desc, Run* out) {
+  const auto start = std::chrono::steady_clock::now();
   PartitionStream stream;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -170,47 +259,46 @@ void SpillManager::Restore(const PendingBucket& desc, Run* out) {
     streams_.erase(it);
   }
   // The producing pass has completed, so no more segments can arrive for
-  // this stream; the I/O mutex serializes the reads against spills of
-  // other streams (the file is block-aligned between segments, so the
-  // interleaving is safe at segment granularity).
-  std::lock_guard<std::mutex> io(io_mutex_);
-
+  // this stream, and its segments are whole on disk: they are read without
+  // the I/O mutex, concurrently with other restores and with spills of
+  // other streams.
   CEA_CHECK(static_cast<int>(out->key_cols.size()) == key_words_);
   CEA_CHECK(static_cast<int>(out->states.size()) == state_words_);
-  const int cols = key_words_ + state_words_;
-  uint64_t scratch[kScratchElems];
+  uint64_t largest = 0;
   for (const Segment& seg : stream.segments) {
-    for (int j = 0; j < cols; ++j) {
-      ChunkedArray& dst = j < key_words_ ? out->key_cols[j]
-                                         : out->states[j - key_words_];
-      uint64_t offset =
-          seg.file_offset + static_cast<uint64_t>(j) * seg.rows *
-                                sizeof(uint64_t);
-      uint64_t left = seg.rows;
-      while (left != 0) {
-        PollControl();
-        size_t take = left < kScratchElems ? static_cast<size_t>(left)
-                                           : kScratchElems;
-        Status rs = file_.ReadAt(offset, scratch,
-                                 take * sizeof(uint64_t));
-        if (!rs.ok()) ThrowIo(std::move(rs));
-        // May throw MemoryBudgetExceeded when even a single bucket's
-        // working set exceeds the limit; the caller surfaces that as
-        // kResourceExhausted.
-        dst.AppendBulk(scratch, take);
-        offset += take * sizeof(uint64_t);
-        left -= take;
-      }
+    largest = std::max(largest, RestoreBytes(seg.rows));
+  }
+  size_t buf_bytes = 0;
+  Window buf = AllocWindow(largest, &buf_bytes);
+  if (buf == nullptr) {
+    ThrowIo(Status::RuntimeError("spill: cannot allocate read window"));
+  }
+  const SliceSink append = [&](int col, uint64_t, const uint64_t* data,
+                               size_t n) {
+    ChunkedArray& dst = col < key_words_ ? out->key_cols[col]
+                                         : out->states[col - key_words_];
+    for (size_t i = 0; i < n; i += kMaxAppendElems) {
+      // May throw MemoryBudgetExceeded when the bucket does not fit the
+      // limit; the scheduler surfaces that as kResourceExhausted.
+      dst.AppendBulk(data + i, std::min(kMaxAppendElems, n - i));
     }
+  };
+  for (const Segment& seg : stream.segments) {
+    Status rs = ReadSegment(seg, buf.get(), buf_bytes, append);
+    if (!rs.ok()) ThrowIo(std::move(rs));
   }
   // Groups may straddle segments, so the concatenation is never distinct.
   out->distinct = false;
   out->CheckConsistent();
   CEA_CHECK(out->size() == desc.rows);
-  bytes_read_.fetch_add(desc.rows * static_cast<uint64_t>(cols) *
-                            sizeof(uint64_t),
-                        std::memory_order_relaxed);
+  bytes_read_.fetch_add(RestoreBytes(desc.rows), std::memory_order_relaxed);
   buckets_restored_.fetch_add(1, std::memory_order_relaxed);
+  restore_ns_.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()),
+      std::memory_order_relaxed);
 }
 
 }  // namespace cea

@@ -6,8 +6,9 @@
 // behave like one instead of failing with kResourceExhausted (the policy
 // follows Graefe's sort/aggregation survey and the classic hybrid-hash
 // spill discipline: keep as many buckets memory-resident as the budget
-// allows, spill the rest as sequential runs, recurse over them one bucket
-// at a time).
+// allows, spill the rest as sequential runs, and recurse over them in
+// restore waves: up to one bucket per worker at once, as many as the
+// budget's free room holds — RestoreWaveSize below).
 //
 // Pressure signal. Reserve() fails when used() + request > limit, and
 // used() is monotone within a process (the pool retains slabs), so the
@@ -32,16 +33,18 @@
 // re-partitions or re-aggregates from scratch. One file — rather than one
 // per stream — bounds the descriptor and staging-buffer footprint to a
 // single fd + 1 MiB no matter how deep the recursion fans out (deep
-// tiny-budget runs used to exhaust the fd limit). Restored segments
+// tiny-budget runs used to exhaust the fd limit); each read adds one read
+// window of at most 1 MiB for its duration. Restored segments
 // become dead space in the file; the disk is reclaimed wholesale when the
 // manager drops.
 //
 // Recovery invariants:
 //  * A stream only receives writes while its producing pass runs; the
-//    bucket is restored strictly after that pass completed. Appends and
-//    reads on the shared file are serialized by the I/O mutex and the
-//    file is aligned between segments, so they interleave safely at
-//    segment granularity.
+//    bucket is restored strictly after that pass completed. Appends are
+//    serialized by the I/O mutex. Reads take no lock: a recorded segment
+//    is complete and Align-padded on disk, so its whole blocks are read
+//    with SpillFile::ReadBlocks, which is safe beside other reads and
+//    beside appends past it.
 //  * A spill that fails mid-segment (I/O error, cancellation) abandons
 //    the partial tail (SpillFile::AbandonTail) and records nothing: the
 //    stream keeps only complete segments on every unwind path.
@@ -51,8 +54,9 @@
 //    (success, error unwind, operator destruction) reclaims all disk
 //    space.
 //
-// Thread-safe: workers spill concurrently under the I/O mutex; the
-// stream registry is guarded by a separate manager mutex.
+// Thread-safe: workers spill concurrently under the I/O mutex and restore
+// concurrently without it; the stream registry and the restore queue are
+// guarded by a separate manager mutex.
 
 #ifndef CEA_CORE_SPILL_MANAGER_H_
 #define CEA_CORE_SPILL_MANAGER_H_
@@ -60,6 +64,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -73,6 +78,18 @@
 #include "cea/mem/spill_file.h"
 
 namespace cea {
+
+// The restore-wave admission rule: how many buckets, from the front of
+// the restore queue, one wave restores at once. `restore_bytes` holds the
+// queued buckets' restore sizes in queue order, `free_room` the budget's
+// free room (UINT64_MAX when unlimited) and `max_buckets` the wave width
+// (one bucket per worker). The first bucket is always admitted, so a
+// budget that holds one bucket drains one at a time. Each further bucket
+// is admitted only while twice the wave's summed restore bytes fits the
+// free room: a restored bucket's pass writes its output runs before its
+// source run is freed.
+size_t RestoreWaveSize(const std::vector<uint64_t>& restore_bytes,
+                       uint64_t free_room, int max_buckets);
 
 class SpillManager {
  public:
@@ -114,21 +131,28 @@ class SpillManager {
   // would have to reach 2^56 - 1.
   static constexpr uint64_t kFinalKey = ~uint64_t{0};
 
-  // One segment of the final-output stream (one evacuated run), exposed
-  // for AssembleResult to stream columns out of.
-  struct FinalSegment {
+  // One spilled run: `rows` rows laid out column-major at `file_offset`.
+  struct Segment {
     uint64_t rows = 0;
     uint64_t file_offset = 0;
   };
 
+  // Receives one slice of a segment being read: `n` words of column `col`
+  // (key words first, then state words) starting at row `row`.
+  using SliceSink =
+      std::function<void(int col, uint64_t row, const uint64_t* data,
+                         size_t n)>;
+
   // Removes and returns the final stream's segments (empty when nothing
   // was evacuated).
-  std::vector<FinalSegment> TakeFinalSegments();
+  std::vector<Segment> TakeFinalSegments();
 
-  // Reads column `col` (key words first, then state words, matching the
-  // segment layout SpillRun wrote) of one final segment into `dst`, which
-  // must hold at least `seg.rows` words of plain (non-pooled) memory.
-  Status ReadSegmentColumn(const FinalSegment& seg, int col, uint64_t* dst);
+  // Reads one final-output segment and hands it to `sink` slice by slice
+  // in file order: the rows of one column ascend, and column c is complete
+  // before column c + 1 starts. The window buffer is plain memory outside
+  // the budget, so final rows never re-enter pooled memory on their way
+  // to the caller. Returns I/O failures and cancellation as Status.
+  Status ReadFinalSegment(const Segment& seg, const SliceSink& sink);
 
   // True once MemoryBudget::used() crossed threshold * limit (never when
   // the budget is unlimited). used() is monotone, so this latches for the
@@ -146,13 +170,17 @@ class SpillManager {
   // Queues stream `key` for restore at recursion level `level`.
   void EnqueueBucket(uint64_t key, int level);
 
-  // Pops the next queued bucket; false when none remain.
-  bool TakePending(PendingBucket* out);
+  // Pops the next restore wave: the queued buckets RestoreWaveSize admits
+  // for `max_buckets` and the budget's current free room,
+  // limit - used() + ChunkPool::pooled_free_bytes(). Empty when no bucket
+  // is queued.
+  std::vector<PendingBucket> TakeWave(int max_buckets);
 
   // Reads every segment of the pending bucket's stream back into `out`
   // (appended column-wise, marked non-distinct) and drops the stream.
-  // Throws StatusError on I/O failure or cancellation, and
-  // MemoryBudgetExceeded when even one bucket does not fit the budget.
+  // Safe to run for several buckets at once. Throws StatusError on I/O
+  // failure or cancellation, and MemoryBudgetExceeded when the bucket does
+  // not fit the budget.
   void Restore(const PendingBucket& desc, Run* out);
 
   // Per-execution telemetry (logical bytes, not padded disk bytes).
@@ -168,29 +196,37 @@ class SpillManager {
   uint64_t buckets_restored() const {
     return buckets_restored_.load(std::memory_order_relaxed);
   }
+  // Wall time spent in Restore, summed over buckets.
+  uint64_t restore_ns() const {
+    return restore_ns_.load(std::memory_order_relaxed);
+  }
 
   const std::string& dir() const { return config_.dir; }
   double threshold() const { return config_.threshold; }
 
  private:
-  struct Segment {
-    uint64_t rows = 0;
-    uint64_t file_offset = 0;
-  };
   struct PartitionStream {
     std::vector<Segment> segments;
     uint64_t rows = 0;
   };
 
   void PollControl() const;
+  // Bytes a restored bucket of `rows` rows occupies in the run store.
+  uint64_t RestoreBytes(uint64_t rows) const;
+  // Reads `seg` in block windows of at most `buf_bytes` through `buf`
+  // (kAlign-aligned, a multiple of kAlign) and hands each column slice to
+  // `sink` in file order. Polls cancellation before every window.
+  Status ReadSegment(const Segment& seg, char* buf, size_t buf_bytes,
+                     const SliceSink& sink) const;
 
   const Config config_;
   const int key_words_;
   const int state_words_;
   const QueryControl* control_;
 
-  // Serializes all I/O on the shared file (and its creation). Never
-  // acquired while holding mutex_.
+  // Serializes appends to the shared file (and its creation); reads go
+  // through SpillFile::ReadBlocks without it. Never acquired while holding
+  // mutex_.
   std::mutex io_mutex_;
   SpillFile file_;
 
@@ -202,6 +238,7 @@ class SpillManager {
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> files_created_{0};
   std::atomic<uint64_t> buckets_restored_{0};
+  std::atomic<uint64_t> restore_ns_{0};
 };
 
 }  // namespace cea

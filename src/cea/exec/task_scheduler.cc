@@ -161,9 +161,12 @@ Status TaskScheduler::Wait() {
     // Done when every outstanding task is an enclosing frame of a blocked
     // Wait() — either ours (`own`) or another worker's (blocked_depth_).
     // Such frames cannot produce further work until Wait() returns, and
-    // counting them as pending would deadlock nested/concurrent waits.
+    // counting them as pending would deadlock nested/concurrent waits. A
+    // caller outside the pool encloses no frame: it waits for the blocked
+    // frames to return too, so a nested Wait() takes its own subtasks'
+    // error before this one reads first_error_.
     const size_t own = from_worker ? tls_task_depth : 0;
-    if (outstanding_ == blocked_depth_ + own) break;
+    if (outstanding_ == (from_worker ? blocked_depth_ + own : 0)) break;
     blocked_depth_ += own;
     cv_.wait(lock);
     blocked_depth_ -= own;

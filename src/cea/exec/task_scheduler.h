@@ -110,7 +110,8 @@ class TaskScheduler {
   // clears it). Callable from inside a task: the caller helps drain the
   // queue while it waits, and tasks that are themselves blocked in Wait()
   // do not count as pending (two tasks waiting on each other would
-  // otherwise deadlock).
+  // otherwise deadlock). A caller outside the pool also waits for those,
+  // so each nested Wait() has taken its own subtasks' error first.
   Status Wait();
 
   // Blocks until every task submitted under `group` has finished, then

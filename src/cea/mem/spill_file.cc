@@ -217,4 +217,25 @@ Status SpillFile::ReadAt(uint64_t offset, void* dst, size_t bytes) {
   return Status::Ok();
 }
 
+Status SpillFile::ReadBlocks(uint64_t offset, void* dst, size_t bytes) const {
+  CEA_CHECK(fd_ >= 0);
+  CEA_DCHECK(offset % kAlign == 0 && bytes % kAlign == 0);
+  CEA_DCHECK(reinterpret_cast<uintptr_t>(dst) % kAlign == 0);
+  char* out = static_cast<char*>(dst);
+  size_t done = 0;
+  while (done < bytes) {
+    ssize_t n = ::pread(fd_, out + done, bytes - done,
+                        static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return IoError("read", errno);
+    }
+    // Every block of the range was written, so EOF means a short file.
+    if (n == 0) return IoError("read", EIO);
+    done += static_cast<size_t>(n);
+  }
+  g_bytes_read.fetch_add(bytes, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
 }  // namespace cea

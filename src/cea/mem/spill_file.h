@@ -18,7 +18,10 @@
 //  * All I/O reports failure as Status (never throws): spilling happens on
 //    the exhaustion path, where a second exception would be fatal.
 //
-// Not thread-safe; callers (SpillManager) serialize access per file.
+// Not thread-safe, with one exception: ReadBlocks touches no staging
+// state, so it may run concurrently with other ReadBlocks calls and with
+// an Append/Align writing past the range it reads. Callers (SpillManager)
+// serialize every other call per file.
 
 #ifndef CEA_MEM_SPILL_FILE_H_
 #define CEA_MEM_SPILL_FILE_H_
@@ -90,6 +93,13 @@ class SpillFile {
   // bytes are staged (after FinishWrites or Align); interleaving with a
   // partially staged Append is not supported.
   Status ReadAt(uint64_t offset, void* dst, size_t bytes);
+
+  // Reads `bytes` bytes at `offset` straight into `dst` with positional
+  // reads, bypassing the staging buffer. `offset`, `bytes` and `dst` must
+  // be kAlign-aligned and the range must already be on disk (written by
+  // FinishWrites or Align; Align-padded segments qualify). Safe to call
+  // concurrently (see the class comment).
+  Status ReadBlocks(uint64_t offset, void* dst, size_t bytes) const;
 
   // Logical bytes appended so far.
   uint64_t size() const { return logical_size_; }

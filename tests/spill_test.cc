@@ -1,16 +1,22 @@
 // Tests of the spill-to-disk degradation path: the SpillFile I/O
-// primitive, SpillManager segment round-trips, the operator completing
-// group-bys whose working set exceeds the memory budget (verified against
-// the unlimited-budget reference), the budget-exhaustion unwind paths
-// (no chunk accounting leaks), and a seeded differential fuzz including
-// mid-spill cancellation.
+// primitive (including concurrent block reads beside appends),
+// SpillManager segment round-trips and restore-wave admission, the
+// operator completing group-bys whose working set exceeds the memory
+// budget (verified against the unlimited-budget reference, batch and
+// streaming), the budget-exhaustion unwind paths (no chunk accounting
+// leaks), and a seeded differential fuzz including mid-spill cancellation.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cea/core/spill_manager.h"
@@ -18,6 +24,7 @@
 #include "cea/datagen/generators.h"
 #include "cea/mem/chunk_pool.h"
 #include "cea/mem/spill_file.h"
+#include "cea/obs/obs.h"
 #include "test_util.h"
 
 namespace cea {
@@ -98,6 +105,80 @@ TEST(SpillFile, RoundTripOddSizesAcrossAlignBoundaries) {
   }
 }
 
+// Payload byte `i` of segment `seg` in the concurrency test below.
+char SegmentByte(size_t seg, size_t i) {
+  return static_cast<char>((seg * 131 + i * 7 + (i >> 9)) & 0xFF);
+}
+
+TEST(SpillFile, ReadBlocksConcurrentWithAppend) {
+  SpillFile f;
+  ASSERT_TRUE(f.Create(SpillDir()).ok());
+
+  // Segments as SpillManager lays them out: each starts on a block and is
+  // padded by Align. Sizes straddle blocks and the 1 MiB staging buffer.
+  struct Extent {
+    uint64_t offset = 0;
+    size_t bytes = 0;
+  };
+  constexpr size_t kInitial = 16, kAppended = 48;
+  std::vector<Extent> extents(kInitial + kAppended);
+  std::mt19937_64 rng(42);
+  auto write_segment = [&](size_t seg) {
+    const size_t bytes = seg % 16 == 7 ? (size_t{1} << 20) + 4099
+                                       : 1 + rng() % 150000;
+    std::vector<char> payload(bytes);
+    for (size_t i = 0; i < bytes; ++i) payload[i] = SegmentByte(seg, i);
+    extents[seg].offset = f.size();
+    extents[seg].bytes = bytes;
+    ASSERT_TRUE(f.Append(payload.data(), bytes).ok());
+    ASSERT_TRUE(f.Align().ok());
+  };
+  for (size_t seg = 0; seg < kInitial; ++seg) write_segment(seg);
+
+  // Readers see segments [0, published); the writer extends that range as
+  // it finishes new segments.
+  std::atomic<size_t> published{kInitial};
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> mismatches{0}, failures{0}, reads{0};
+  auto reader = [&](uint64_t seed) {
+    std::mt19937_64 r(seed);
+    const size_t cap = (size_t{2} << 20);
+    std::unique_ptr<char, decltype(&std::free)> buf(
+        static_cast<char*>(std::aligned_alloc(SpillFile::kAlign, cap)),
+        &std::free);
+    for (int n = 0; n < 200 || writing.load(std::memory_order_acquire);
+         ++n) {
+      const size_t seg = r() % published.load(std::memory_order_acquire);
+      const Extent e = extents[seg];
+      const size_t padded =
+          (e.bytes + SpillFile::kAlign - 1) & ~(SpillFile::kAlign - 1);
+      if (!f.ReadBlocks(e.offset, buf.get(), padded).ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      reads.fetch_add(1);
+      for (size_t i = 0; i < e.bytes; ++i) {
+        if (buf.get()[i] != SegmentByte(seg, i)) {
+          mismatches.fetch_add(1);
+          break;
+        }
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) readers.emplace_back(reader, 1000 + t);
+  for (size_t seg = kInitial; seg < kInitial + kAppended; ++seg) {
+    write_segment(seg);
+    published.store(seg + 1, std::memory_order_release);
+  }
+  writing.store(false, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GE(reads.load(), 4u * 200u);
+}
+
 TEST(SpillFile, CreateInMissingDirectoryFails) {
   SpillFile f;
   Status s = f.Create("/nonexistent-spill-dir-for-test");
@@ -156,8 +237,9 @@ TEST(SpillManager, SegmentRoundTripConcatenatesRuns) {
   EXPECT_GT(mgr.bytes_written(), 0u);
 
   mgr.EnqueueBucket(key, /*level=*/3);
-  SpillManager::PendingBucket desc;
-  ASSERT_TRUE(mgr.TakePending(&desc));
+  std::vector<SpillManager::PendingBucket> wave = mgr.TakeWave(1);
+  ASSERT_EQ(wave.size(), 1u);
+  const SpillManager::PendingBucket desc = wave[0];
   EXPECT_EQ(desc.key, key);
   EXPECT_EQ(desc.level, 3);
   EXPECT_EQ(desc.rows, n1 + n2);
@@ -179,7 +261,45 @@ TEST(SpillManager, SegmentRoundTripConcatenatesRuns) {
   }
   EXPECT_EQ(mgr.bytes_read(), mgr.bytes_written());
   EXPECT_EQ(mgr.buckets_restored(), 1u);
-  ASSERT_FALSE(mgr.TakePending(&desc));
+  EXPECT_TRUE(mgr.TakeWave(1).empty());
+}
+
+TEST(SpillManager, RestoreWaveSizeFollowsFreeRoom) {
+  const std::vector<uint64_t> bytes = {100, 200, 300, 400, 500, 600};
+  const uint64_t unlimited = std::numeric_limits<uint64_t>::max();
+  // Unlimited budget: one bucket per worker, or every queued bucket.
+  EXPECT_EQ(RestoreWaveSize(bytes, unlimited, 4), 4u);
+  EXPECT_EQ(RestoreWaveSize({100, 200}, unlimited, 4), 2u);
+  EXPECT_EQ(RestoreWaveSize({}, unlimited, 4), 0u);
+  // Free room below twice the first two buckets: exactly one.
+  EXPECT_EQ(RestoreWaveSize(bytes, 2 * (100 + 200) - 1, 4), 1u);
+  // Each further bucket needs twice the wave's summed bytes.
+  EXPECT_EQ(RestoreWaveSize(bytes, 2 * (100 + 200), 4), 2u);
+  EXPECT_EQ(RestoreWaveSize(bytes, 2 * (100 + 200 + 300), 4), 3u);
+  // The first bucket is always admitted, however little room is left.
+  EXPECT_EQ(RestoreWaveSize(bytes, 0, 4), 1u);
+  EXPECT_EQ(RestoreWaveSize({uint64_t{1} << 40}, 0, 4), 1u);
+  EXPECT_EQ(RestoreWaveSize(bytes, unlimited, 1), 1u);
+}
+
+TEST(SpillManager, TakeWaveTakesOneBucketPerWorkerWithoutLimit) {
+  BudgetGuard guard;
+  MemoryBudget::Global().SetLimit(0);
+  StateLayout layout({{AggFn::kCount, -1}});
+  SpillManager::Config config;
+  config.dir = SpillDir();
+  SpillManager mgr(config, 1, layout, nullptr);
+  for (uint32_t p = 0; p < 6; ++p) {
+    ::cea::Run r(1, layout);
+    r.key_cols[0].Append(p);
+    r.states[0].Append(1);
+    const uint64_t key = SpillManager::PartitionKey(1, p);
+    mgr.SpillRun(key, &r);
+    mgr.EnqueueBucket(key, /*level=*/1);
+  }
+  EXPECT_EQ(mgr.TakeWave(4).size(), 4u);
+  EXPECT_EQ(mgr.TakeWave(4).size(), 2u);
+  EXPECT_TRUE(mgr.TakeWave(4).empty());
 }
 
 TEST(SpillManager, ShouldSpillNeverFiresWithoutLimit) {
@@ -280,6 +400,63 @@ TEST(SpillOperator, SpillStatsStayZeroWithoutPressure) {
   EXPECT_EQ(stats.spill_files, 0u);
 }
 
+// FinishStream drains spilled buckets too: a streamed group-by under a
+// small budget, restored in waves by four workers, matches the reference.
+TEST(SpillOperator, StreamingFinishDrainsSpilledBuckets) {
+  const uint64_t n = 1 << 20;  // ~40 MiB of runs at 40 B/row
+  std::vector<uint64_t> keys = UniformKeys(n, n / 2, 91);
+  Column values = GenerateValues(keys.size(), 92);
+  InputTable input;
+  input.keys = keys.data();
+  input.values.push_back(values.data());
+  input.num_rows = keys.size();
+  const std::vector<AggregateSpec> specs = {
+      {AggFn::kCount, -1}, {AggFn::kSum, 0}, {AggFn::kAvg, 0}};
+  ResultTable expect = ReferenceAggregate(input, specs);
+
+  BudgetGuard guard;
+  // Room for the producer's first chunk of every partition column (256
+  // partitions x 5 columns x 4 KiB) even in a fresh process.
+  guard.SetHeadroom(32 << 20);
+  obs::ObsContext::Options oo;
+  oo.counters = false;
+  obs::ObsContext obs(oo);
+  AggregationOptions o = SpillOptions(/*threads=*/4, /*threshold=*/0.1);
+  o.obs = &obs;
+  AggregationOperator op(specs, o);
+  ASSERT_TRUE(op.BeginStream().ok());
+  constexpr size_t kBatch = size_t{1} << 16;
+  for (size_t off = 0; off < n; off += kBatch) {
+    InputTable batch;
+    batch.keys = keys.data() + off;
+    batch.values.push_back(values.data() + off);
+    batch.num_rows = std::min<size_t>(kBatch, n - off);
+    Status cs = op.ConsumeBatch(batch);
+    ASSERT_TRUE(cs.ok()) << "batch at " << off << ": " << cs.message();
+  }
+  ResultTable got;
+  ExecStats stats;
+  Status s = op.FinishStream(&got, &stats);
+  ASSERT_TRUE(s.ok()) << s.message();
+  ExpectResultsMatch(&got, expect);
+
+  EXPECT_GT(stats.spilled_bytes, 0u);
+  const obs::RuntimeProfile* spill = obs.profile().FindChild("spill");
+  ASSERT_NE(spill, nullptr);
+  EXPECT_GT(spill->FindCounter("buckets_restored")->value(), 1);
+  EXPECT_GT(spill->FindCounter("restore_time")->value(), 0);
+  // One "restore" span per restored bucket.
+  const std::string trace = obs.trace().ToChromeJson();
+  size_t restore_spans = 0;
+  for (size_t pos = 0;
+       (pos = trace.find("\"name\":\"restore\"", pos)) != std::string::npos;
+       ++pos) {
+    ++restore_spans;
+  }
+  EXPECT_EQ(static_cast<int64_t>(restore_spans),
+            spill->FindCounter("buckets_restored")->value());
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz: spilling on vs off, 48 seeds
 
@@ -311,7 +488,10 @@ TEST(SpillFuzz, DifferentialAgainstUnlimitedRun48Seeds) {
 
     BudgetGuard guard;
     guard.SetHeadroom(3 << 20);  // tiny: forces the spill path
-    AggregationOptions o = SpillOptions(/*threads=*/2, /*threshold=*/0.1);
+    // Odd seeds (the cancellation seeds among them) run four workers, so
+    // restore waves hold several buckets at once.
+    AggregationOptions o =
+        SpillOptions(/*threads=*/seed % 2 == 0 ? 2 : 4, /*threshold=*/0.1);
     CancellationSource source;
     if (cancel_seed) {
       o.cancel_token = source.token();
