@@ -95,13 +95,9 @@ int main(int argc, char** argv) {
 
     TimingStats row_t = MeasureSeconds(reps, [&] {
       StateLayout layout(specs);
-      Morsel m;
-      m.key_cols = {keys.data()};
-      m.n = n;
-      m.raw = true;
-      for (const Column* c : value_ptrs) m.cols.push_back(c->data());
       Run out(1, layout);
-      AggregateExact({m}, 1, layout, gp.k, &out);
+      AggregateExact({InputMorsel(input, layout, 0, n)}, 1, layout, gp.k,
+                     &out);
       DoNotOptimize(out.size());
     });
     emit("row-at-time", row_t);

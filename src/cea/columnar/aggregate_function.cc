@@ -18,6 +18,10 @@ StateLayout::StateLayout(const std::vector<AggregateSpec>& s) : specs(s) {
   for (const AggregateSpec& spec : specs) {
     word_offset.push_back(total_words);
     total_words += StateWords(spec.fn);
+    const StateOp op = spec.fn == AggFn::kMin   ? StateOp::kMin
+                       : spec.fn == AggFn::kMax ? StateOp::kMax
+                                                : StateOp::kAdd;
+    word_op.insert(word_op.end(), StateWords(spec.fn), op);
   }
 }
 

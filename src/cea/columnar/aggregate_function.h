@@ -11,6 +11,9 @@
 // routine touches them (COUNT state of a raw row is the literal 1, AVG is
 // the pair (value, 1), SUM/MIN/MAX states equal the raw value). From then
 // on a single merge operation per function is correct at every level.
+// The operator applies that merge one state word at a time
+// (StateLayout::word_op), so a raw input column is read as the state word
+// it equals and the literal 1 needs no column at all.
 
 #ifndef CEA_COLUMNAR_AGGREGATE_FUNCTION_H_
 #define CEA_COLUMNAR_AGGREGATE_FUNCTION_H_
@@ -83,6 +86,16 @@ inline void MergeState(AggFn fn, const uint64_t* src, uint64_t* dst) {
   }
 }
 
+// How one state word combines with another (the super-aggregate of
+// Section 3.1, one word at a time): COUNT and both AVG words add up, MIN
+// and MAX keep the extreme.
+enum class StateOp : uint8_t { kAdd, kMin, kMax };
+
+// The state of an empty group under `op`.
+constexpr uint64_t StateIdentity(StateOp op) {
+  return op == StateOp::kMin ? ~uint64_t{0} : 0;
+}
+
 // Layout of the state words of a list of aggregates: each spec occupies
 // StateWords(fn) consecutive word-columns, concatenated in spec order.
 struct StateLayout {
@@ -92,6 +105,8 @@ struct StateLayout {
   int total_words = 0;
   // Per spec: offset of its first word-column.
   std::vector<int> word_offset;
+  // Per state word: its combine.
+  std::vector<StateOp> word_op;
   std::vector<AggregateSpec> specs;
 };
 

@@ -458,21 +458,8 @@ Status AggregationOperator::ConsumeBatch(const InputTable& batch) {
   span.set_rows(batch.num_rows);
   try {
     for (size_t off = 0; off < batch.num_rows; off += step) {
-      Morsel m;
-      m.n = std::min(step, batch.num_rows - off);
-      m.key_cols.reserve(key_words_);
-      m.key_cols.push_back(batch.keys + off);
-      for (const uint64_t* extra : batch.extra_keys) {
-        m.key_cols.push_back(extra + off);
-      }
-      m.raw = true;
-      m.cols.resize(layout_.specs.size());
-      for (size_t s = 0; s < layout_.specs.size(); ++s) {
-        const AggregateSpec& spec = layout_.specs[s];
-        m.cols[s] = NeedsInput(spec.fn) ? batch.values[spec.input_column] + off
-                                        : nullptr;
-      }
-      stream_ctx_->ProcessMorsel(m);
+      stream_ctx_->ProcessMorsel(InputMorsel(
+          batch, layout_, off, std::min(step, batch.num_rows - off)));
     }
   } catch (const StatusError& e) {
     // Cancellation/deadline unwound the batch loop; keep the typed code so
@@ -566,22 +553,8 @@ void AggregationOperator::ScheduleRootPass(const InputTable& input) {
   const size_t step = options_.morsel_rows;
   morsels.reserve(CeilDiv(input.num_rows, step));
   for (size_t off = 0; off < input.num_rows; off += step) {
-    Morsel m;
-    m.n = std::min(step, input.num_rows - off);
-    m.key_cols.reserve(input.key_columns());
-    m.key_cols.push_back(input.keys + off);
-    for (const uint64_t* extra : input.extra_keys) {
-      m.key_cols.push_back(extra + off);
-    }
-    m.raw = true;
-    m.cols.resize(layout_.specs.size());
-    for (size_t s = 0; s < layout_.specs.size(); ++s) {
-      const AggregateSpec& spec = layout_.specs[s];
-      m.cols[s] = NeedsInput(spec.fn)
-                      ? input.values[spec.input_column] + off
-                      : nullptr;
-    }
-    morsels.push_back(std::move(m));
+    morsels.push_back(InputMorsel(input, layout_, off,
+                                  std::min(step, input.num_rows - off)));
   }
 
   if (policy_->FinalGrowableLevel() == 0) {
@@ -630,29 +603,37 @@ void AggregationOperator::RunPassWorker(const std::shared_ptr<Pass>& pass,
     const uint64_t partitioned0 = ws.rows_partitioned;
     std::unique_ptr<PassContext> ctx;
     const size_t num_morsels = pass->morsels.size();
-    for (size_t i = pass->cursor.fetch_add(1, std::memory_order_relaxed);
-         i < num_morsels;
-         i = pass->cursor.fetch_add(1, std::memory_order_relaxed)) {
-      if (!ctx) {
-        ctx = std::make_unique<PassContext>(layout_, *policy_,
-                                            resources_[worker_id].get(),
-                                            pass->level,
-                                            &worker_stats_[worker_id],
-                                            &control_, spill_manager_.get(),
-                                            pass->id);
+    try {
+      for (size_t i = pass->cursor.fetch_add(1, std::memory_order_relaxed);
+           i < num_morsels;
+           i = pass->cursor.fetch_add(1, std::memory_order_relaxed)) {
+        if (!ctx) {
+          ctx = std::make_unique<PassContext>(layout_, *policy_,
+                                              resources_[worker_id].get(),
+                                              pass->level,
+                                              &worker_stats_[worker_id],
+                                              &control_, spill_manager_.get(),
+                                              pass->id);
+        }
+        ctx->ProcessMorsel(pass->morsels[i]);
       }
-      ctx->ProcessMorsel(pass->morsels[i]);
-    }
-    if (ctx) {
-      span.set_rows(ctx->rows_processed());
-      Run final_run(key_words_, layout_);
-      if (ctx->Finalize(pass->total_rows, &final_run)) {
-        EmitFinal(worker_id, std::move(final_run));
-        ctx.reset();  // nothing left to collect
-      } else {
-        std::lock_guard<std::mutex> lock(pass->contexts_mutex);
-        pass->contexts.push_back(std::move(ctx));
+      if (ctx) {
+        span.set_rows(ctx->rows_processed());
+        Run final_run(key_words_, layout_);
+        if (ctx->Finalize(pass->total_rows, &final_run)) {
+          EmitFinal(worker_id, std::move(final_run));
+          ctx.reset();  // nothing left to collect
+        } else {
+          std::lock_guard<std::mutex> lock(pass->contexts_mutex);
+          pass->contexts.push_back(std::move(ctx));
+        }
       }
+    } catch (...) {
+      // The aborted pass left rows in this worker's SWC lines and table.
+      // Another pass of this execution that is already queued may still
+      // run on this worker, and its PassContext must find both empty.
+      resources_[worker_id]->ResetForRecovery();
+      throw;
     }
     span.set_routine(RoutineLabel(ws.rows_hashed - hashed0,
                                   ws.rows_partitioned - partitioned0));
@@ -860,35 +841,11 @@ Status AggregationOperator::AssembleResult(ResultTable* result) {
     }
   }
 
-  size_t offset = 0;
-  for (const Run* r : finals) {
-    r->CheckConsistent();
-    r->key_cols[0].CopyTo(result->keys.data() + offset);
-    for (int w = 1; w < key_words_; ++w) {
-      r->key_cols[w].CopyTo(result->extra_keys[w - 1].data() + offset);
-    }
-    for (size_t s = 0; s < layout_.specs.size(); ++s) {
-      const int off = layout_.word_offset[s];
-      ResultColumn& col = result->aggregates[s];
-      if (col.fn == AggFn::kAvg) {
-        std::vector<uint64_t> sums = r->states[off].ToVector();
-        std::vector<uint64_t> counts = r->states[off + 1].ToVector();
-        for (size_t i = 0; i < sums.size(); ++i) {
-          col.f64[offset + i] = counts[i] == 0
-                                    ? 0.0
-                                    : static_cast<double>(sums[i]) /
-                                          static_cast<double>(counts[i]);
-        }
-      } else {
-        r->states[off].CopyTo(col.u64.data() + offset);
-      }
-    }
-    offset += r->size();
-  }
-  // Result column of each segment column (key words, then state words).
-  // An AVG's sum column has none: its slices wait in `avg_sums` until the
-  // count column, which the segment stores right after it, finishes the
-  // quotient into `avg_of`'s f64 column.
+  // Result column of each final column (key words, then state words). An
+  // AVG's sum column has none: its slices wait in `avg_sums` until the
+  // count column, which follows it, finishes the quotient into `avg_of`'s
+  // f64 column. In-memory runs and evacuated segments both arrive through
+  // `scatter`, column by column in row order.
   const int cols = key_words_ + layout_.total_words;
   std::vector<uint64_t*> dst(cols, nullptr);
   std::vector<double*> avg_of(cols, nullptr);
@@ -905,24 +862,41 @@ Status AggregationOperator::AssembleResult(ResultTable* result) {
       dst[col] = out.u64.data();
     }
   }
+  size_t offset = 0;
   std::vector<uint64_t> avg_sums;
+  const SpillManager::SliceSink scatter = [&](int col, uint64_t row,
+                                              const uint64_t* data,
+                                              size_t n) {
+    if (dst[col] != nullptr) {
+      std::copy(data, data + n, dst[col] + offset + row);
+    } else if (avg_of[col] == nullptr) {
+      if (avg_sums.size() < row + n) avg_sums.resize(row + n);
+      std::copy(data, data + n, avg_sums.data() + row);
+    } else {
+      double* out = avg_of[col] + offset + row;
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = data[i] == 0 ? 0.0
+                              : static_cast<double>(avg_sums[row + i]) /
+                                    static_cast<double>(data[i]);
+      }
+    }
+  };
+  for (const Run* r : finals) {
+    r->CheckConsistent();
+    for (int col = 0; col < cols; ++col) {
+      const ChunkedArray& a = col < key_words_
+                                  ? r->key_cols[col]
+                                  : r->states[col - key_words_];
+      uint64_t row = 0;
+      a.ForEachChunk([&](const uint64_t* data, size_t n) {
+        scatter(col, row, data, n);
+        row += n;
+      });
+    }
+    offset += r->size();
+  }
   for (const SpillManager::Segment& seg : spilled) {
-    avg_sums.resize(static_cast<size_t>(seg.rows));
-    Status rs = spill_manager_->ReadFinalSegment(
-        seg, [&](int col, uint64_t row, const uint64_t* data, size_t n) {
-          if (dst[col] != nullptr) {
-            std::copy(data, data + n, dst[col] + offset + row);
-          } else if (avg_of[col] == nullptr) {
-            std::copy(data, data + n, avg_sums.data() + row);
-          } else {
-            double* out = avg_of[col] + offset + row;
-            for (size_t i = 0; i < n; ++i) {
-              out[i] = data[i] == 0 ? 0.0
-                                    : static_cast<double>(avg_sums[row + i]) /
-                                          static_cast<double>(data[i]);
-            }
-          }
-        });
+    Status rs = spill_manager_->ReadFinalSegment(seg, scatter);
     if (!rs.ok()) return rs;
     offset += static_cast<size_t>(seg.rows);
   }

@@ -84,8 +84,9 @@ struct AggregationOptions {
   // in which case tripping the MemoryBudget fails the execution with
   // kResourceExhausted. With a directory set and a non-zero budget limit,
   // completed partition runs are written to unlinked temp files under
-  // pressure and streamed back bucket-by-bucket during recursion
-  // (spill_manager.h), so working sets far beyond the budget complete.
+  // pressure and read back during recursion in waves of up to one bucket
+  // per worker (spill_manager.h), so working sets far beyond the budget
+  // complete.
   std::string spill_dir;
   // Fraction of the budget limit that MemoryBudget::used() may reach
   // before spilling starts (and, used() being monotone, stays on);

@@ -164,70 +164,29 @@ void PassContext::ApplyValuesHash(const Morsel& m, size_t from, size_t len) {
   if (len == 0) return;
   BlockedOpenHashTable& table = res_.table();
   const uint32_t* slots = res_.slots() + from;
-  for (size_t s = 0; s < layout_.specs.size(); ++s) {
-    const AggFn fn = layout_.specs[s].fn;
-    const int off = layout_.word_offset[s];
-    uint64_t* w0 = table.state_array(off);
-    if (m.raw) {
-      const uint64_t* v =
-          m.cols.empty() ? nullptr : m.cols[s] ? m.cols[s] + from : nullptr;
-      switch (fn) {
-        case AggFn::kCount:
-          for (size_t i = 0; i < len; ++i) w0[slots[i]] += 1;
-          break;
-        case AggFn::kSum:
-          for (size_t i = 0; i < len; ++i) w0[slots[i]] += v[i];
-          break;
-        case AggFn::kMin:
-          for (size_t i = 0; i < len; ++i) {
-            uint64_t x = v[i];
-            if (x < w0[slots[i]]) w0[slots[i]] = x;
-          }
-          break;
-        case AggFn::kMax:
-          for (size_t i = 0; i < len; ++i) {
-            uint64_t x = v[i];
-            if (x > w0[slots[i]]) w0[slots[i]] = x;
-          }
-          break;
-        case AggFn::kAvg: {
-          uint64_t* w1 = table.state_array(off + 1);
-          for (size_t i = 0; i < len; ++i) {
-            w0[slots[i]] += v[i];
-            w1[slots[i]] += 1;
-          }
-          break;
+  for (int w = 0; w < layout_.total_words; ++w) {
+    uint64_t* dst = table.state_array(w);
+    const uint64_t* src = m.cols[w] == nullptr ? nullptr : m.cols[w] + from;
+    switch (layout_.word_op[w]) {
+      case StateOp::kAdd:
+        if (src == nullptr) {
+          for (size_t i = 0; i < len; ++i) dst[slots[i]] += 1;
+        } else {
+          for (size_t i = 0; i < len; ++i) dst[slots[i]] += src[i];
         }
-      }
-    } else {
-      const uint64_t* src0 = m.cols[off] + from;
-      switch (fn) {
-        case AggFn::kCount:
-        case AggFn::kSum:
-          for (size_t i = 0; i < len; ++i) w0[slots[i]] += src0[i];
-          break;
-        case AggFn::kMin:
-          for (size_t i = 0; i < len; ++i) {
-            uint64_t x = src0[i];
-            if (x < w0[slots[i]]) w0[slots[i]] = x;
-          }
-          break;
-        case AggFn::kMax:
-          for (size_t i = 0; i < len; ++i) {
-            uint64_t x = src0[i];
-            if (x > w0[slots[i]]) w0[slots[i]] = x;
-          }
-          break;
-        case AggFn::kAvg: {
-          uint64_t* w1 = table.state_array(off + 1);
-          const uint64_t* src1 = m.cols[off + 1] + from;
-          for (size_t i = 0; i < len; ++i) {
-            w0[slots[i]] += src0[i];
-            w1[slots[i]] += src1[i];
-          }
-          break;
+        break;
+      case StateOp::kMin:
+        for (size_t i = 0; i < len; ++i) {
+          uint64_t x = src[i];
+          if (x < dst[slots[i]]) dst[slots[i]] = x;
         }
-      }
+        break;
+      case StateOp::kMax:
+        for (size_t i = 0; i < len; ++i) {
+          uint64_t x = src[i];
+          if (x > dst[slots[i]]) dst[slots[i]] = x;
+        }
+        break;
     }
   }
 }
@@ -277,42 +236,16 @@ void PassContext::PartitionRange(const Morsel& m, size_t from, size_t to) {
     for (size_t i = 0; i < len; ++i) kwriter.Append(dests[i], src[i]);
   }
 
-  // Aggregate columns: replay the mapping vector in tight per-column
-  // loops. Appends per partition happen in input order, so values land at
-  // the same positions as their keys.
-  for (size_t s = 0; s < layout_.specs.size(); ++s) {
-    const AggFn fn = layout_.specs[s].fn;
-    const int off = layout_.word_offset[s];
-    SwcWriter& sw0 = res_.state_writer(off);
-    if (m.raw) {
-      // Count-only raw morsels may carry no value columns at all; the
-      // empty() guard matches ApplyValuesHash (v stays unused for kCount).
-      const uint64_t* v =
-          m.cols.empty() ? nullptr : m.cols[s] ? m.cols[s] + from : nullptr;
-      switch (fn) {
-        case AggFn::kCount:
-          for (size_t i = 0; i < len; ++i) sw0.Append(dests[i], 1);
-          break;
-        case AggFn::kSum:
-        case AggFn::kMin:
-        case AggFn::kMax:
-          for (size_t i = 0; i < len; ++i) sw0.Append(dests[i], v[i]);
-          break;
-        case AggFn::kAvg: {
-          SwcWriter& sw1 = res_.state_writer(off + 1);
-          for (size_t i = 0; i < len; ++i) {
-            sw0.Append(dests[i], v[i]);
-            sw1.Append(dests[i], 1);
-          }
-          break;
-        }
-      }
+  // State words: replay the mapping vector in tight per-column loops.
+  // Appends per partition happen in input order, so values land at the
+  // same positions as their keys.
+  for (int w = 0; w < layout_.total_words; ++w) {
+    SwcWriter& sw = res_.state_writer(w);
+    if (m.cols[w] == nullptr) {
+      for (size_t i = 0; i < len; ++i) sw.Append(dests[i], 1);
     } else {
-      for (int w = 0; w < StateWords(fn); ++w) {
-        SwcWriter& sw = res_.state_writer(off + w);
-        const uint64_t* src = m.cols[off + w] + from;
-        for (size_t i = 0; i < len; ++i) sw.Append(dests[i], src[i]);
-      }
+      const uint64_t* src = m.cols[w] + from;
+      for (size_t i = 0; i < len; ++i) sw.Append(dests[i], src[i]);
     }
   }
 
@@ -345,6 +278,8 @@ void PassContext::SplitTable() {
 void PassContext::ProcessMorsel(const Morsel& m) {
   CEA_CHECK_MSG(m.n <= res_.max_morsel_rows(),
                 "morsel exceeds the mapping buffers of WorkerResources");
+  CEA_CHECK_MSG(static_cast<int>(m.cols.size()) == layout_.total_words,
+                "morsel needs one column pointer per state word");
   // Cancellation boundary: one check per morsel bounds the post-cancel
   // work of this worker to a single morsel. The pass state stays
   // consistent — nothing of this morsel has been consumed yet.
@@ -481,32 +416,26 @@ void AggregateExact(const std::vector<Morsel>& morsels, int key_words,
   GrowableHashTable table(key_words, layout, expected_groups);
   uint64_t key[kMaxKeyWords];
   for (const Morsel& m : morsels) {
+    CEA_CHECK_MSG(static_cast<int>(m.cols.size()) == layout.total_words,
+                  "morsel needs one column pointer per state word");
     if (control != nullptr) control->ThrowIfCancelled();
     for (size_t i = 0; i < m.n; ++i) {
       for (int w = 0; w < key_words; ++w) key[w] = m.key_cols[w][i];
       size_t slot = table.FindOrInsert(key);
-      for (size_t s = 0; s < layout.specs.size(); ++s) {
-        const AggFn fn = layout.specs[s].fn;
-        const int off = layout.word_offset[s];
-        // State words of one spec live in separate word arrays, so gather
-        // them into a local buffer before merging.
-        uint64_t state[2];
-        if (m.raw) {
-          // Same empty() guard as ApplyValuesHash/PartitionRange: a
-          // count-only raw morsel has no value columns.
-          uint64_t v =
-              m.cols.empty() || m.cols[s] == nullptr ? 0 : m.cols[s][i];
-          InitStateFromRaw(fn, v, state);
-        } else {
-          state[0] = m.cols[off][i];
-          if (StateWords(fn) == 2) state[1] = m.cols[off + 1][i];
+      for (int w = 0; w < layout.total_words; ++w) {
+        const uint64_t v = m.cols[w] == nullptr ? 1 : m.cols[w][i];
+        uint64_t& dst = table.state_array(w)[slot];
+        switch (layout.word_op[w]) {
+          case StateOp::kAdd:
+            dst += v;
+            break;
+          case StateOp::kMin:
+            if (v < dst) dst = v;
+            break;
+          case StateOp::kMax:
+            if (v > dst) dst = v;
+            break;
         }
-        uint64_t dst[2];
-        dst[0] = table.state_array(off)[slot];
-        if (StateWords(fn) == 2) dst[1] = table.state_array(off + 1)[slot];
-        MergeState(fn, state, dst);
-        table.state_array(off)[slot] = dst[0];
-        if (StateWords(fn) == 2) table.state_array(off + 1)[slot] = dst[1];
       }
     }
   }
@@ -519,6 +448,25 @@ void AggregateExact(const std::vector<Morsel>& morsels, int key_words,
     }
   });
   final_run->distinct = true;
+}
+
+Morsel InputMorsel(const InputTable& input, const StateLayout& layout,
+                   size_t off, size_t n) {
+  Morsel m;
+  m.n = n;
+  m.key_cols.reserve(input.key_columns());
+  m.key_cols.push_back(input.keys + off);
+  for (const uint64_t* extra : input.extra_keys) {
+    m.key_cols.push_back(extra + off);
+  }
+  m.cols.reserve(layout.total_words);
+  for (const AggregateSpec& spec : layout.specs) {
+    m.cols.push_back(NeedsInput(spec.fn)
+                         ? input.values[spec.input_column] + off
+                         : nullptr);
+    if (spec.fn == AggFn::kAvg) m.cols.push_back(nullptr);  // count word
+  }
+  return m;
 }
 
 std::vector<Morsel> MorselsForBucket(const Bucket& bucket, int key_words,
@@ -545,7 +493,6 @@ std::vector<Morsel> MorselsForBucket(const Bucket& bucket, int key_words,
     for (size_t c = 0; c < key_chunks[0].size(); ++c) {
       Morsel m;
       m.n = key_chunks[0][c].second;
-      m.raw = false;
       m.key_cols.resize(key_words);
       for (int w = 0; w < key_words; ++w) {
         CEA_CHECK(key_chunks[w][c].second == m.n);

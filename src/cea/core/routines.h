@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cea/columnar/aggregate_function.h"
+#include "cea/columnar/column.h"
 #include "cea/core/policy.h"
 #include "cea/core/run.h"
 #include "cea/exec/cancellation.h"
@@ -39,16 +40,21 @@ namespace cea {
 class SpillManager;
 
 // One contiguous stretch of pass input. `key_cols` holds one pointer per
-// grouping key word. For raw (level-0) input, `cols` holds one pointer
-// per aggregate spec — the caller's input column, or nullptr for
-// COUNT(*). For run input, `cols` holds one pointer per aggregate state
-// word.
+// grouping key word and `cols` one pointer per aggregate state word
+// (StateLayout::total_words of them). Raw input rows are states too (a
+// raw row is the state of its one-row group): a value column serves as
+// the SUM/MIN/MAX word or AVG's sum word, and a null pointer stands for
+// the constant 1 of COUNT(*) and of AVG's count word. Run input carries
+// no null pointers.
 struct Morsel {
   std::vector<const uint64_t*> key_cols;
   size_t n = 0;
-  bool raw = false;
   std::vector<const uint64_t*> cols;
 };
+
+// The morsel of rows [off, off + n) of the caller's input under `layout`.
+Morsel InputMorsel(const InputTable& input, const StateLayout& layout,
+                   size_t off, size_t n);
 
 // Execution telemetry, kept per worker and merged by the operator. The
 // per-level breakdowns drive the Figure 4/5 pass-breakdown benches; the

@@ -204,8 +204,11 @@ Status TaskScheduler::WaitGroup(TaskGroup* group) {
       continue;
     }
     // Done when every pending task of the group is an enclosing frame of a
-    // WaitGroup on it — ours (`own`) or another worker's (blocked_).
-    if (group->pending_ == group->blocked_ + own) break;
+    // WaitGroup on it — ours (`own`) or another worker's (blocked_). A
+    // caller outside the pool encloses no frame: it waits for the blocked
+    // frames to return too, so a nested WaitGroup() takes its own
+    // subtasks' error before this one reads the group's.
+    if (group->pending_ == (from_worker ? group->blocked_ + own : 0)) break;
     group->blocked_ += own;
     cv_.wait(lock);
     group->blocked_ -= own;

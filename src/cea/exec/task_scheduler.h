@@ -119,7 +119,10 @@ class TaskScheduler {
   // clears it). Other groups' tasks are not waited on and their errors are
   // never returned here. Callable from inside a task: the caller helps
   // drain the queue — any queued task, not just the group's — while it
-  // waits.
+  // waits, and group tasks that are themselves blocked in WaitGroup() on
+  // this group do not count as pending. A caller outside the pool also
+  // waits for those, so each nested WaitGroup() has taken its own
+  // subtasks' error first.
   Status WaitGroup(TaskGroup* group);
 
   // Runs fn(worker_id, index) for every index in [0, n), distributing

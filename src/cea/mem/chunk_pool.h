@@ -125,8 +125,9 @@ class ChunkPool {
   // Bytes of size-class blocks currently sitting idle in thread caches or
   // shard freelists. Because slabs are retained for the process lifetime,
   // MemoryBudget::used() never shrinks; `used() - pooled_free_bytes()`
-  // approximates the memory actually referenced by live runs, which is the
-  // pressure signal the spill policy reacts to (spill_manager.h).
+  // approximates the memory actually referenced by live runs. The spill
+  // trigger does not use it (spill_manager.h explains why); it only sizes
+  // restore waves, as free room limit - used() + pooled_free_bytes().
   size_t pooled_free_bytes() const {
     return free_bytes_.load(std::memory_order_relaxed);
   }

@@ -3,10 +3,11 @@
 // A RuntimeProfile is a tree of named nodes, each holding ordered
 // counters (atomic int64 with a unit and a merge rule), info strings
 // (policy names, decision inputs) and child nodes (one per pass level,
-// per subsystem, per worker). The operator builds one per execution;
-// QuerySession, TaskScheduler, ChunkPool/MemoryBudget and the SIMD
-// dispatch layer each contribute a node, so a single dump answers
-// "where did this query's time, rows and bytes go".
+// per subsystem, per worker). The operator builds one per execution in
+// AggregationOperator::FillProfile, from its merged ExecStats plus the
+// scheduler and pool deltas of the execution (strategy, passes, scheduler,
+// memory, spill and worker nodes), so a single dump answers "where did
+// this query's time, rows and bytes go".
 //
 //   RuntimeProfile root("query");
 //   RuntimeProfile* mem = root.GetOrCreateChild("memory");

@@ -6,23 +6,6 @@
 #include "cea/mem/chunked_array.h"
 
 namespace cea {
-namespace {
-
-uint64_t IdentityForWord(AggFn fn, int word) {
-  switch (fn) {
-    case AggFn::kCount:
-    case AggFn::kSum:
-    case AggFn::kMax:
-      return 0;
-    case AggFn::kMin:
-      return ~uint64_t{0};
-    case AggFn::kAvg:
-      return 0;  // both sum and count start at 0
-  }
-  return 0;
-}
-
-}  // namespace
 
 BlockedOpenHashTable::BlockedOpenHashTable(size_t budget_bytes, int key_words,
                                            const StateLayout& layout,
@@ -50,11 +33,7 @@ BlockedOpenHashTable::BlockedOpenHashTable(size_t budget_bytes, int key_words,
   occupied_.assign((capacity_ + 63) / 64, 0);
 
   identities_.reserve(layout_words_);
-  for (const AggregateSpec& spec : layout.specs) {
-    for (int w = 0; w < cea::StateWords(spec.fn); ++w) {
-      identities_.push_back(IdentityForWord(spec.fn, w));
-    }
-  }
+  for (StateOp op : layout.word_op) identities_.push_back(StateIdentity(op));
   CEA_CHECK(static_cast<int>(identities_.size()) == layout_words_);
 }
 

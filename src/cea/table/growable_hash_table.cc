@@ -1,24 +1,13 @@
 #include "cea/table/growable_hash_table.h"
 
 namespace cea {
-namespace {
-
-uint64_t IdentityForWord(AggFn fn) {
-  return fn == AggFn::kMin ? ~uint64_t{0} : 0;
-}
-
-}  // namespace
 
 GrowableHashTable::GrowableHashTable(int key_words, const StateLayout& layout,
                                      size_t expected_groups)
     : key_words_(key_words), layout_words_(layout.total_words) {
   CEA_CHECK_MSG(key_words >= 1 && key_words <= kMaxKeyWords,
                 "unsupported key width");
-  for (const AggregateSpec& spec : layout.specs) {
-    for (int w = 0; w < StateWords(spec.fn); ++w) {
-      identities_.push_back(IdentityForWord(spec.fn));
-    }
-  }
+  for (StateOp op : layout.word_op) identities_.push_back(StateIdentity(op));
   capacity_ = CeilPowerOfTwo(expected_groups < 8 ? 16 : expected_groups * 2);
   keys_.resize(static_cast<size_t>(key_words_) * capacity_);
   states_.resize(static_cast<size_t>(layout_words_) * capacity_);

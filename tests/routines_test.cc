@@ -33,7 +33,6 @@ Morsel RawMorsel(const std::vector<uint64_t>& keys,
   Morsel m;
   m.key_cols = {keys.data()};
   m.n = keys.size();
-  m.raw = true;
   m.cols = cols;
   return m;
 }
@@ -467,10 +466,8 @@ TEST(AggregateExact, MatchesScalarExpectation) {
 }
 
 TEST(PartitioningRoutine, CountOnlyRawMorselWithNoValueColumns) {
-  // Regression: a COUNT(*)-only query may build raw morsels with an empty
-  // cols vector (no value columns at all). PartitionRange used to index
-  // m.cols[0] unconditionally on raw morsels — out-of-bounds on the empty
-  // vector — while ApplyValuesHash guarded it.
+  // A COUNT(*)-only query reads no value column: its one state word is a
+  // null pointer, which partitioning appends as the literal 1.
   StateLayout layout({{AggFn::kCount, -1}});
   auto policy = MakePartitionAlwaysPolicy(2);
   WorkerResources res(layout, kTableBytes, 1 << 18);
@@ -481,7 +478,7 @@ TEST(PartitioningRoutine, CountOnlyRawMorselWithNoValueColumns) {
   std::vector<uint64_t> keys;
   Rng rng(10);
   for (int i = 0; i < 5000; ++i) keys.push_back(rng.NextBounded(200));
-  ctx.ProcessMorsel(RawMorsel(keys, /*cols=*/{}));
+  ctx.ProcessMorsel(RawMorsel(keys, /*cols=*/{nullptr}));
   cea::Run final_run(1, layout);
   EXPECT_FALSE(ctx.Finalize(keys.size(), &final_run));
   EXPECT_EQ(stats.rows_partitioned, keys.size());
@@ -493,13 +490,13 @@ TEST(PartitioningRoutine, CountOnlyRawMorselWithNoValueColumns) {
 }
 
 TEST(AggregateExact, CountOnlyRawMorselWithNoValueColumns) {
-  // Same regression as above for the exact fallback path, which also
-  // indexed m.cols[s] on raw morsels without the empty() guard.
+  // Same COUNT(*)-only morsel for the exact path, which adds 1 per row for
+  // the null state word.
   StateLayout layout({{AggFn::kCount, -1}});
   std::vector<uint64_t> keys;
   Rng rng(11);
   for (int i = 0; i < 5000; ++i) keys.push_back(rng.NextBounded(200));
-  std::vector<Morsel> morsels = {RawMorsel(keys, /*cols=*/{})};
+  std::vector<Morsel> morsels = {RawMorsel(keys, /*cols=*/{nullptr})};
   cea::Run final_run(1, layout);
   AggregateExact(morsels, 1, layout, 0, &final_run);
   EXPECT_TRUE(final_run.distinct);
@@ -508,6 +505,39 @@ TEST(AggregateExact, CountOnlyRawMorselWithNoValueColumns) {
   std::map<uint64_t, uint64_t> expect;
   for (uint64_t k : keys) ++expect[k];
   EXPECT_EQ(got, expect);
+}
+
+TEST(InputMorsel, PointsEachStateWordAtItsInputColumn) {
+  // Raw input is read as states: one pointer per state word, offset into
+  // the caller's columns, and null for the constant 1 of COUNT(*) and of
+  // AVG's count word.
+  StateLayout layout({{AggFn::kCount, -1},
+                      {AggFn::kSum, 0},
+                      {AggFn::kMin, 1},
+                      {AggFn::kMax, 0},
+                      {AggFn::kAvg, 1}});
+  EXPECT_EQ(layout.word_op,
+            (std::vector<StateOp>{StateOp::kAdd, StateOp::kAdd, StateOp::kMin,
+                                  StateOp::kMax, StateOp::kAdd,
+                                  StateOp::kAdd}));
+  EXPECT_EQ(StateIdentity(StateOp::kAdd), 0u);
+  EXPECT_EQ(StateIdentity(StateOp::kMin), ~uint64_t{0});
+  EXPECT_EQ(StateIdentity(StateOp::kMax), 0u);
+
+  std::vector<uint64_t> k0(100), k1(100), v0(100), v1(100);
+  InputTable input;
+  input.keys = k0.data();
+  input.extra_keys = {k1.data()};
+  input.values = {v0.data(), v1.data()};
+  input.num_rows = 100;
+  constexpr size_t kOff = 40;
+  Morsel m = InputMorsel(input, layout, kOff, 25);
+  EXPECT_EQ(m.n, 25u);
+  EXPECT_EQ(m.key_cols,
+            (std::vector<const uint64_t*>{k0.data() + kOff, k1.data() + kOff}));
+  EXPECT_EQ(m.cols, (std::vector<const uint64_t*>{
+                        nullptr, v0.data() + kOff, v1.data() + kOff,
+                        v0.data() + kOff, v1.data() + kOff, nullptr}));
 }
 
 TEST(MorselsForBucket, DecomposesRunsByChunks) {
@@ -523,7 +553,6 @@ TEST(MorselsForBucket, DecomposesRunsByChunks) {
   size_t total = 0;
   uint64_t next = 0;
   for (const Morsel& m : morsels) {
-    EXPECT_FALSE(m.raw);
     ASSERT_EQ(m.cols.size(), 1u);
     for (size_t i = 0; i < m.n; ++i) {
       ASSERT_EQ(m.key_cols[0][i], next);

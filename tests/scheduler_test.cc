@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <future>
 #include <set>
@@ -403,6 +404,49 @@ TEST(Scheduler, WaitGroupFromWorkerHelpsDrain) {
   EXPECT_TRUE(pool.WaitGroup(&g).ok());
   EXPECT_EQ(leaves.load(), 16);
   EXPECT_TRUE(all_done_at_join.load());
+}
+
+TEST(Scheduler, OutsideWaitGroupWaitsForNestedGroupJoin) {
+  // A group task joins its own group from inside the pool while a caller
+  // outside the pool joins the same group. Once the subtask failed, the
+  // only pending task is the worker frame blocked in the nested join. The
+  // outside caller must keep waiting for that frame: the nested join owns
+  // the subtask's error, and the frame is still running.
+  TaskScheduler pool(2);
+  int failed_rounds = 0;
+  for (int round = 0; round < 200; ++round) {
+    TaskGroup g(&pool);
+    std::atomic<bool> started{false};
+    std::atomic<bool> gate{false};
+    std::atomic<bool> nested_error{false};
+    std::atomic<bool> joined{false};
+    std::thread opener([&] {
+      while (!started.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      gate.store(true);
+    });
+    pool.Submit(&g, [&](int) {
+      pool.Submit(&g, [&](int) {
+        started.store(true);
+        while (!gate.load()) std::this_thread::yield();
+        throw std::runtime_error("subtask failed");
+      });
+      // Let the other worker take the subtask, so this frame parks in its
+      // join instead of running the subtask inline.
+      while (!started.load()) std::this_thread::yield();
+      nested_error.store(!pool.WaitGroup(&g).ok());
+      joined.store(true);
+    });
+    const bool outer_ok = pool.WaitGroup(&g).ok();
+    const bool joined_first = joined.load();
+    opener.join();
+    // Drain before `g` goes out of scope even when the join above returned
+    // early.
+    while (!joined.load()) std::this_thread::yield();
+    (void)pool.WaitGroup(&g);
+    if (!outer_ok || !joined_first || !nested_error.load()) ++failed_rounds;
+  }
+  EXPECT_EQ(failed_rounds, 0);
 }
 
 TEST(Scheduler, StressTreeSpawnWithFailingLeaves) {
