@@ -62,7 +62,9 @@ class Flags {
         return true;
       }
       if (a == "--" + name) {
-        *value = "1";
+        // assign(1, '1') rather than = "1": GCC 12 reports a false
+        // -Wrestrict on assigning a literal to a std::string here.
+        value->assign(1, '1');
         return true;
       }
     }

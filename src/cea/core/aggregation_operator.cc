@@ -8,7 +8,6 @@
 #include "cea/common/bits.h"
 #include "cea/common/check.h"
 #include "cea/core/spill_manager.h"
-#include "cea/simd/dispatch.h"
 
 namespace cea {
 
@@ -220,7 +219,6 @@ Status AggregationOperator::CollectResult(ResultTable* result,
     merged.spill_read_bytes = spill_manager_->bytes_read();
     merged.spill_files = spill_manager_->files_created();
   }
-  merged.simd_tier = static_cast<int>(simd::ActiveTier());
   if (stats != nullptr) *stats = merged;
   if (options_.obs != nullptr && options_.obs->counters_enabled()) {
     obs::PerfSample totals;
@@ -252,8 +250,6 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
       break;
   }
   root.SetInfo("threads", std::to_string(num_threads()));
-  root.SetInfo("simd_tier", simd::TierName(static_cast<simd::DispatchTier>(
-                                merged.simd_tier)));
   root.AddCounter("total_time", Unit::kNanos, MergeOp::kMax)
       ->Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - exec_start_)

@@ -6,7 +6,6 @@
 #include "cea/core/spill_manager.h"
 #include "cea/hash/key_hash.h"
 #include "cea/mem/chunk_pool.h"
-#include "cea/simd/dispatch.h"
 #include "cea/table/growable_hash_table.h"
 
 namespace cea {
@@ -15,8 +14,8 @@ namespace cea {
 // (and ExecStatsToJson / FormatExecStats) silently drops telemetry when
 // per-worker stats are merged. Growing the struct trips this assert;
 // update Merge(), the JSON/text serializers, the stats tests, and then the
-// expected size. (LP64 layout: 16 u64 counters, two packed ints, double,
-// u64, then three per-level arrays.)
+// expected size. (LP64 layout: 16 u64 counters, an int padded to 8 bytes,
+// double, u64, then three per-level arrays.)
 #if defined(__x86_64__) || defined(__aarch64__)
 static_assert(sizeof(ExecStats) ==
                   19 * sizeof(uint64_t) +
@@ -43,7 +42,6 @@ void ExecStats::Merge(const ExecStats& other) {
   spill_read_bytes += other.spill_read_bytes;
   spill_files += other.spill_files;
   max_level = std::max(max_level, other.max_level);
-  simd_tier = std::max(simd_tier, other.simd_tier);
   sum_alpha += other.sum_alpha;
   num_alpha += other.num_alpha;
   for (size_t l = 0; l < rows_hashed_at_level.size(); ++l) {
@@ -109,15 +107,13 @@ bool PassContext::InsertKeys(const Morsel& m, size_t from, size_t n,
 
   if (kw == 1) {
     // Hot path: single 64-bit keys, out-of-order blocks of 16
-    // (Section 4.2) — hash a block first (8-wide under the active SIMD
-    // tier), then insert, so the hash computations overlap the
-    // table-probe loads.
-    const simd::SimdOps& ops = simd::ActiveOps();
+    // (Section 4.2) — hash a block first, then insert, so the hash
+    // computations overlap the table-probe loads.
     const uint64_t* keys = m.key_cols[0] + from;
     size_t i = 0;
     while (i + 16 <= n) {
       uint64_t hashes[16];
-      ops.hash_batch(keys + i, 16, hashes);
+      HashKeyColumnsBatch(m.key_cols.data(), 1, from + i, 16, hashes);
       for (int j = 0; j < 16; ++j) {
         uint32_t s = table.FindOrInsert(keys[i + j], hashes[j], level_);
         if (s == BlockedOpenHashTable::kFull) {
@@ -130,7 +126,7 @@ bool PassContext::InsertKeys(const Morsel& m, size_t from, size_t n,
     }
     if (i < n) {
       uint64_t hashes[16];
-      ops.hash_batch(keys + i, n - i, hashes);
+      HashKeyColumnsBatch(m.key_cols.data(), 1, from + i, n - i, hashes);
       for (size_t j = 0; i < n; ++i, ++j) {
         uint32_t s = table.FindOrInsert(keys[i], hashes[j], level_);
         if (s == BlockedOpenHashTable::kFull) {
@@ -197,36 +193,20 @@ void PassContext::PartitionRange(const Morsel& m, size_t from, size_t to) {
   const int kw = res_.key_words();
   uint8_t* dests = res_.dests() + from;
 
-  // Grouping column(s): compute digits (the per-run mapping vector of
-  // Section 3.3) and scatter key word 0 through the SWC buffers.
-  {
-    SwcWriter& kw0 = res_.key_writer(0);
-    if (kw == 1) {
-      // Batch-hash a stretch under the active SIMD tier, then scatter;
-      // the buffer is small enough to stay L1-resident next to the SWC
-      // lines.
-      const simd::SimdOps& ops = simd::ActiveOps();
-      constexpr size_t kHashBatch = 256;
-      uint64_t hashes[kHashBatch];
-      const uint64_t* keys = m.key_cols[0] + from;
-      for (size_t done = 0; done < len; done += kHashBatch) {
-        const size_t batch = std::min(kHashBatch, len - done);
-        ops.hash_batch(keys + done, batch, hashes);
-        for (size_t i = 0; i < batch; ++i) {
-          uint32_t d = RadixDigit(hashes[i], level_);
-          dests[done + i] = static_cast<uint8_t>(d);
-          kw0.Append(d, keys[done + i]);
-        }
-      }
-    } else {
-      uint64_t key[kMaxKeyWords];
-      for (size_t i = 0; i < len; ++i) {
-        for (int w = 0; w < kw; ++w) key[w] = m.key_cols[w][from + i];
-        uint64_t h = HashKey(key, kw);
-        uint32_t d = RadixDigit(h, level_);
-        dests[i] = static_cast<uint8_t>(d);
-        kw0.Append(d, key[0]);
-      }
+  // Grouping column(s): hash a stretch, then compute digits (the per-run
+  // mapping vector of Section 3.3) and scatter key word 0 through the SWC
+  // buffers. The hash buffer stays L1-resident next to the SWC lines.
+  SwcWriter& kw0 = res_.key_writer(0);
+  constexpr size_t kHashBatch = 256;
+  uint64_t hashes[kHashBatch];
+  const uint64_t* keys = m.key_cols[0] + from;
+  for (size_t done = 0; done < len; done += kHashBatch) {
+    const size_t batch = std::min(kHashBatch, len - done);
+    HashKeyColumnsBatch(m.key_cols.data(), kw, from + done, batch, hashes);
+    for (size_t i = 0; i < batch; ++i) {
+      uint32_t d = RadixDigit(hashes[i], level_);
+      dests[done + i] = static_cast<uint8_t>(d);
+      kw0.Append(d, keys[done + i]);
     }
   }
   // Remaining key words replay the mapping vector like aggregate columns.

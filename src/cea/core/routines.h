@@ -85,10 +85,6 @@ struct ExecStats {
   uint64_t spill_read_bytes = 0;
   uint64_t spill_files = 0;
   int max_level = 0;
-  // Active SIMD dispatch tier of the execution (simd::DispatchTier as an
-  // int; stats_io renders the name). Merged as max: tiers are ordered by
-  // width and one execution runs under one tier.
-  int simd_tier = 0;
 
   double sum_alpha = 0;
   uint64_t num_alpha = 0;

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "cea/obs/json_writer.h"
-#include "cea/simd/dispatch.h"
 
 namespace cea {
 namespace {
@@ -58,8 +57,6 @@ std::string FormatExecStats(const ExecStats& stats) {
             static_cast<double>(stats.spill_read_bytes) / (1024.0 * 1024.0),
             stats.spill_files);
   }
-  Appendf(&out, "simd tier: %s\n",
-          simd::TierName(static_cast<simd::DispatchTier>(stats.simd_tier)));
   Appendf(&out, "levels (rows hashed / partitioned / cpu-seconds):\n");
   for (int l = 0; l <= stats.max_level &&
                   l < static_cast<int>(stats.rows_hashed_at_level.size());
@@ -91,8 +88,6 @@ std::string ExecStatsToJson(const ExecStats& stats) {
   w.Key("spill_read_bytes").Uint(stats.spill_read_bytes);
   w.Key("spill_files").Uint(stats.spill_files);
   w.Key("max_level").Int(stats.max_level);
-  w.Key("simd_tier")
-      .String(simd::TierName(static_cast<simd::DispatchTier>(stats.simd_tier)));
   w.Key("sum_alpha").Double(stats.sum_alpha);
   w.Key("num_alpha").Uint(stats.num_alpha);
   w.Key("mean_alpha").Double(stats.mean_alpha());

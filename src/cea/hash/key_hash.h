@@ -8,6 +8,7 @@
 #ifndef CEA_HASH_KEY_HASH_H_
 #define CEA_HASH_KEY_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "cea/hash/murmur.h"
@@ -24,15 +25,19 @@ inline uint64_t HashKey(const uint64_t* key, int key_words) {
   return h;
 }
 
-// Hash of row `i` of a columnar key (one pointer per key word).
-inline uint64_t HashKeyColumns(const uint64_t* const* key_cols, size_t i,
-                               int key_words) {
-  if (key_words == 1) return MurmurHash64(key_cols[0][i]);
-  uint64_t h = 0;
-  for (int w = 0; w < key_words; ++w) {
-    h = MurmurHash64(key_cols[w][i], h);
+// Hashes of rows [from, from + n) of a columnar key (one pointer per key
+// word): out[i] == HashKey of row from + i. It works word by word, so each
+// loop is a plain map over one column that the compiler vectorizes when
+// the build targets a wide enough ISA.
+inline void HashKeyColumnsBatch(const uint64_t* const* key_cols,
+                                int key_words, size_t from, size_t n,
+                                uint64_t* out) {
+  const uint64_t* col = key_cols[0] + from;
+  for (size_t i = 0; i < n; ++i) out[i] = MurmurHash64(col[i]);
+  for (int w = 1; w < key_words; ++w) {
+    col = key_cols[w] + from;
+    for (size_t i = 0; i < n; ++i) out[i] = MurmurHash64(col[i], out[i]);
   }
-  return h;
 }
 
 // Word-wise equality of two keys.

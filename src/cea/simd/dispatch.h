@@ -1,25 +1,10 @@
-// Runtime-dispatched SIMD hash finalization.
-//
-// Hashing every input row is a fixed per-row cost of both the HASHING and
-// PARTITIONING routines, and MurmurHash64's multiply/shift chain
-// vectorizes cleanly. This module provides that one kernel behind a
-// function-pointer table per *tier*:
-//
-//   kScalar  — portable reference implementation (always available).
-//   kAVX2    — 4-wide AVX2 kernel (64-bit multiply emulated).
-//   kAVX512  — 8-wide AVX-512F/DQ kernel (VPMULLQ).
-//
-// The active tier is the best one CPUID reports, resolved once per
-// process. Correctness is defined as bit-exact equivalence with the scalar
-// tier (simd_dispatch_test enforces this on every tier the host supports).
-// Table probing and SWC line flushes stay scalar: at the paper's 25% fill
-// cap collision chains are a slot or two long, and mem/stream_store.h
-// already emits the widest non-temporal store the build allows.
-//
-// AVX2/AVX-512 kernels live in separate translation units compiled with
-// the matching -m flags (the rest of the library keeps the baseline
-// ISA), so a binary built on any x86-64 machine runs everywhere and
-// lights up the wide paths only where CPUID says they exist.
+// Compatibility shim for the e2e_layers benchmark, which compiles against
+// SimdOps::hash_batch, ActiveOps, ActiveTier and TierName. The operator
+// hashes through HashKeyColumnsBatch (hash/key_hash.h), and nothing in the
+// library, its tests, benches or tools includes this header. There is one
+// hash loop and no tier to select, so the only tier is kScalar. Delete
+// this header, and the benchmark's uses of it, at the next change to the
+// benchmark.
 
 #ifndef CEA_SIMD_DISPATCH_H_
 #define CEA_SIMD_DISPATCH_H_
@@ -27,40 +12,29 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "cea/hash/key_hash.h"
+
 namespace cea::simd {
 
-enum class DispatchTier : int {
-  kScalar = 0,
-  kAVX2 = 1,
-  kAVX512 = 2,
-};
+enum class DispatchTier { kScalar };
 
-// One tier's kernel table. Tiers differ only in instruction selection,
-// never in results.
+// out[i] = MurmurHash64(keys[i]) for i in [0, n).
+inline void HashBatch(const uint64_t* keys, size_t n, uint64_t* out) {
+  HashKeyColumnsBatch(&keys, 1, 0, n, out);
+}
+
 struct SimdOps {
-  DispatchTier tier;
-  const char* name;
-
-  // out[i] = MurmurHash64(keys[i]) for i in [0, n). Any alignment, any n
-  // (the vector kernels handle the n % width tail with scalar code).
   void (*hash_batch)(const uint64_t* keys, size_t n, uint64_t* out);
 };
 
-// Best tier the host CPU supports (of the ones compiled in).
-DispatchTier BestSupportedTier();
+inline const SimdOps& ActiveOps() {
+  static constexpr SimdOps kOps = {HashBatch};
+  return kOps;
+}
 
-// True when the tier's kernels are compiled in and the CPU executes them.
-bool TierSupported(DispatchTier tier);
+inline DispatchTier ActiveTier() { return DispatchTier::kScalar; }
 
-// Kernel table of a supported tier. CHECK-fails on unsupported tiers.
-const SimdOps& OpsForTier(DispatchTier tier);
-
-// Kernel table of BestSupportedTier(), resolved on first use.
-const SimdOps& ActiveOps();
-DispatchTier ActiveTier();
-
-// "scalar", "avx2", "avx512".
-const char* TierName(DispatchTier tier);
+inline const char* TierName(DispatchTier) { return "scalar"; }
 
 }  // namespace cea::simd
 

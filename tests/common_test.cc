@@ -123,5 +123,18 @@ TEST(Flags, FirstUnknownReportsTheFirstUnlistedArgument) {
   EXPECT_EQ(Flags(3, argv).FirstUnknown({"n"}), "--csv");
 }
 
+TEST(Flags, LookupParsesBareAndValuedFlags) {
+  char prog[] = "prog", a[] = "--csv", b[] = "--nn=7", c[] = "--n=42";
+  char* argv[] = {prog, a, b, c};
+  const Flags bare_and_longer(3, argv);  // --csv --nn=7
+  EXPECT_EQ(bare_and_longer.GetString("csv", ""), "1");
+  EXPECT_EQ(bare_and_longer.GetUint("nn", 0), 7u);
+  // Neither a longer name nor a shorter prefix answers for another flag.
+  EXPECT_FALSE(bare_and_longer.Has("n"));
+  EXPECT_EQ(bare_and_longer.GetUint("n", 3), 3u);
+  EXPECT_FALSE(bare_and_longer.Has("c"));
+  EXPECT_EQ(Flags(4, argv).GetUint("n", 0), 42u);
+}
+
 }  // namespace
 }  // namespace cea

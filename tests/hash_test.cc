@@ -1,11 +1,14 @@
-// Unit tests for cea/hash: MurmurHash2, mixers and radix digit extraction.
+// Unit tests for cea/hash: MurmurHash2, mixers, key hashing and radix
+// digit extraction.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "cea/common/random.h"
+#include "cea/hash/key_hash.h"
 #include "cea/hash/murmur.h"
 #include "cea/hash/radix.h"
 
@@ -134,6 +137,45 @@ TEST(Murmur, IsBijectiveForFixedWidthKeys) {
     hashes.insert(MurmurHash64(k));
   }
   EXPECT_EQ(hashes.size(), 10000u);
+}
+
+TEST(KeyHash, BatchMatchesRowHash) {
+  // HashKeyColumnsBatch must equal HashKey of the gathered row at every key
+  // width, for lengths around InsertKeys' 16-row block and PartitionRange's
+  // 256-row stretch, from unaligned start rows into unaligned outputs, and
+  // must write nothing outside out[0, n).
+  constexpr uint64_t kSentinel = 0xdeadbeefcafef00dULL;
+  constexpr size_t kMaxLen = 1000;
+  constexpr size_t kMaxFrom = 3;
+  Rng rng(4);
+  std::vector<std::vector<uint64_t>> cols(kMaxKeyWords);
+  std::vector<const uint64_t*> key_cols;
+  for (std::vector<uint64_t>& c : cols) {
+    c.resize(kMaxFrom + kMaxLen);
+    for (uint64_t& v : c) v = rng.Next();
+    key_cols.push_back(c.data());
+  }
+  for (int kw = 1; kw <= kMaxKeyWords; ++kw) {
+    for (size_t n : {0, 1, 15, 16, 17, 255, 256, 257, 1000}) {
+      for (size_t from : {0, 1, 3}) {
+        // `from` sentinels before the output and one after it.
+        std::vector<uint64_t> buf(from + n + 1, kSentinel);
+        HashKeyColumnsBatch(key_cols.data(), kw, from, n, buf.data() + from);
+        for (size_t i = 0; i < n; ++i) {
+          uint64_t key[kMaxKeyWords];
+          for (int w = 0; w < kw; ++w) key[w] = cols[w][from + i];
+          ASSERT_EQ(buf[from + i], HashKey(key, kw))
+              << "kw=" << kw << " n=" << n << " from=" << from << " i=" << i;
+          if (kw == 1) {
+            ASSERT_EQ(buf[from + i], MurmurHash64(key[0]));
+          }
+        }
+        for (size_t i = 0; i < from; ++i) ASSERT_EQ(buf[i], kSentinel);
+        ASSERT_EQ(buf[from + n], kSentinel)
+            << "kw=" << kw << " n=" << n << " from=" << from;
+      }
+    }
+  }
 }
 
 TEST(MultiplicativeHash, SpreadsLowBitsPoorly) {

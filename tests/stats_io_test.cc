@@ -8,7 +8,6 @@
 #include "cea/core/aggregation_operator.h"
 #include "cea/core/stats_io.h"
 #include "cea/obs/json_writer.h"
-#include "cea/simd/dispatch.h"
 #include "test_util.h"
 
 namespace cea {
@@ -29,7 +28,6 @@ TEST(FormatExecStats, ContainsKeyFigures) {
   s.chunks_allocated = 7;
   s.chunks_recycled = 9;
   s.mem_peak_bytes = 3 << 20;
-  s.simd_tier = static_cast<int>(simd::DispatchTier::kAVX2);
   std::string out = FormatExecStats(s);
   EXPECT_NE(out.find("100 hashed"), std::string::npos);
   EXPECT_NE(out.find("50 partitioned"), std::string::npos);
@@ -37,7 +35,6 @@ TEST(FormatExecStats, ContainsKeyFigures) {
   EXPECT_NE(out.find("7 chunks allocated"), std::string::npos);
   EXPECT_NE(out.find("9 recycled"), std::string::npos);
   EXPECT_NE(out.find("peak 3.0 MiB"), std::string::npos);
-  EXPECT_NE(out.find("simd tier: avx2"), std::string::npos);
   EXPECT_NE(out.find("level 1"), std::string::npos);
 }
 
@@ -173,7 +170,6 @@ TEST(ExecStatsToJson, ValidJsonWithAllFields) {
   s.chunks_allocated = 7;
   s.chunks_recycled = 9;
   s.mem_peak_bytes = 4096;
-  s.simd_tier = static_cast<int>(simd::DispatchTier::kScalar);
   std::string json = ExecStatsToJson(s);
   EXPECT_TRUE(obs::JsonLooksValid(json)) << json;
   EXPECT_NE(json.find("\"rows_hashed\":100"), std::string::npos);
@@ -181,7 +177,6 @@ TEST(ExecStatsToJson, ValidJsonWithAllFields) {
   EXPECT_NE(json.find("\"chunks_allocated\":7"), std::string::npos);
   EXPECT_NE(json.find("\"chunks_recycled\":9"), std::string::npos);
   EXPECT_NE(json.find("\"mem_peak_bytes\":4096"), std::string::npos);
-  EXPECT_NE(json.find("\"simd_tier\":\"scalar\""), std::string::npos);
   // One levels entry per level up to max_level.
   EXPECT_NE(json.find("\"level\":0"), std::string::npos);
   EXPECT_NE(json.find("\"level\":1"), std::string::npos);

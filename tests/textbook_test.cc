@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cea/common/random.h"
@@ -21,6 +22,15 @@ std::map<uint64_t, uint64_t> AsMap(const GroupCounts& gc) {
     m[gc.keys[i]] = gc.counts[i];
   }
   return m;
+}
+
+// Test-name suffix "k<cardinality>". It appends rather than returning
+// "k" + std::to_string(...): GCC 12 reports a false -Wrestrict on the
+// latter at -O3.
+std::string CardinalityName(const ::testing::TestParamInfo<uint64_t>& info) {
+  std::string name = "k";
+  name += std::to_string(info.param);
+  return name;
 }
 
 class TextbookTest : public ::testing::TestWithParam<uint64_t> {};
@@ -53,9 +63,7 @@ TEST_P(TextbookTest, SortMatchesScalar) {
 INSTANTIATE_TEST_SUITE_P(Cardinalities, TextbookTest,
                          ::testing::Values(uint64_t{1}, uint64_t{17},
                                            uint64_t{1000}, uint64_t{30000}),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "k" + std::to_string(info.param);
-                         });
+                         CardinalityName);
 
 TEST(Textbook, SortAggEmptyInput) {
   GroupCounts out = TextbookSortAggregation(nullptr, 0, 1 << 20);
@@ -87,9 +95,7 @@ TEST_P(MergeSortEaTest, MatchesScalar) {
 INSTANTIATE_TEST_SUITE_P(Cardinalities, MergeSortEaTest,
                          ::testing::Values(uint64_t{1}, uint64_t{13},
                                            uint64_t{997}, uint64_t{30000}),
-                         [](const ::testing::TestParamInfo<uint64_t>& info) {
-                           return "k" + std::to_string(info.param);
-                         });
+                         CardinalityName);
 
 TEST(MergeSortEa, TinyRunsAndEmptyInput) {
   GroupCounts empty = MergeSortEarlyAggregation(nullptr, 0, 64);

@@ -54,7 +54,9 @@
 //                                 PATH while the query runs (default period
 //                                 250 ms; a final snapshot always lands)
 //
-// Any other flag is a usage error (exit 2).
+// Any other flag is a usage error (exit 2), and so is a count that must be
+// positive (--k, --threads, --passes, --deadline_ms, --mem_budget_mb,
+// --metrics_period_ms) given as zero or negative.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -156,12 +158,15 @@ int main(int argc, char** argv) {
                  unknown.c_str());
     return 2;
   }
-  // A budget of 0 MiB, zero worker threads or a negative deadline are
-  // nonsense; reject them up front instead of running a query that cannot
-  // succeed (or wrapping the value into "unlimited").
+  // A budget of 0 MiB, zero worker threads, zero groups, zero partition
+  // passes, a zero metrics period or a negative deadline are nonsense;
+  // reject them up front instead of running a query that cannot succeed,
+  // failing a CHECK later, or wrapping the value into a huge count.
   if (!RequirePositive(flags, "mem_budget_mb") ||
       !RequirePositive(flags, "deadline_ms") ||
-      !RequirePositive(flags, "threads")) {
+      !RequirePositive(flags, "threads") || !RequirePositive(flags, "k") ||
+      !RequirePositive(flags, "passes") ||
+      !RequirePositive(flags, "metrics_period_ms")) {
     return 2;
   }
 

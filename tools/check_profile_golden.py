@@ -6,7 +6,7 @@ runtime-profile tree has exactly the expected shape: same nodes, same
 counters, same insertion order. Measured values (times, byte counts,
 morsel counts) are normalized to `N` before comparison; fields that are
 fully determined by the flags (threads, rows_in, worker count) are
-checked verbatim. The SIMD tier is machine-dependent and normalized.
+checked verbatim.
 
 A second run with --stats=json asserts the same tree nests under the
 "profile" key of the JSON stats document.
@@ -22,11 +22,10 @@ import sys
 FLAGS = ["--n=65536", "--k=256", "--seed=7", "--threads=1"]
 
 # The golden tree: values that depend only on the flags are literal;
-# everything measured is N; the SIMD tier is TIER.
+# everything measured is N.
 GOLDEN = """\
 query:
   threads: 1
-  simd_tier: TIER
   - total_time: N
   - rows_in: 65536
   strategy:
@@ -75,10 +74,7 @@ def normalize(text):
             out.append(line)
             continue
         head, _, value = line.rpartition(": ")
-        if head.lstrip().lstrip("- ") == "simd_tier" or \
-                head.endswith("simd_tier"):
-            out.append(head + ": TIER")
-        elif NUMERIC.match(value):
+        if NUMERIC.match(value):
             out.append(head + ": N")
         else:
             out.append(line)
