@@ -1,6 +1,7 @@
 #include "cea/exec/task_scheduler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -25,6 +26,13 @@ thread_local size_t tls_task_depth = 0;
 // enclosing frames belong to the awaited group: those frames cannot finish
 // until WaitGroup returns and must not be counted as pending.
 thread_local std::vector<TaskGroup*> tls_group_stack;
+
+// How long a worker that finds the queue empty polls it before parking on
+// the condition variable. A stream forks and joins once per batch, and a
+// parked worker needs a wake-up before it starts the next batch's task;
+// the caller's round trip between two fork-joins measured p50 55–59 µs and
+// p90 104–175 µs on a 4-vCPU VM, well inside the poll.
+constexpr auto kIdlePoll = std::chrono::microseconds(500);
 
 // Runs `fn` capturing any exception as a typed Status (ok = no error).
 // StatusError carriers keep their code (cancellation/deadline stay
@@ -117,6 +125,7 @@ void TaskScheduler::Submit(TaskGroup* group, Task task) {
     ++outstanding_;
     if (group != nullptr) ++group->pending_;
     queue_.push_back(Item{std::move(task), group});
+    queued_.store(queue_.size(), std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
   }
   // notify_all, not notify_one: besides idle workers, callers blocked in
@@ -152,8 +161,7 @@ Status TaskScheduler::Wait() {
   const bool from_worker = tls_scheduler == this;
   for (;;) {
     if (from_worker && !queue_.empty()) {
-      Item item = std::move(queue_.front());
-      queue_.pop_front();
+      Item item = PopFront();
       helped_.fetch_add(1, std::memory_order_relaxed);
       RunTask(lock, std::move(item), tls_worker_id);
       continue;
@@ -197,8 +205,7 @@ Status TaskScheduler::WaitGroup(TaskGroup* group) {
       // nested join. Unlike frames blocked in Wait(), frames blocked here
       // resume as soon as *this group* drains (which never requires global
       // quiescence), so they are not added to blocked_depth_.
-      Item item = std::move(queue_.front());
-      queue_.pop_front();
+      Item item = PopFront();
       helped_.fetch_add(1, std::memory_order_relaxed);
       RunTask(lock, std::move(item), tls_worker_id);
       continue;
@@ -253,14 +260,14 @@ Status TaskScheduler::ParallelFor(size_t n,
     ++outstanding_;
     queue_.push_back(Item{body, nullptr});
   }
+  queued_.store(queue_.size(), std::memory_order_relaxed);
   submitted_.fetch_add(tasks, std::memory_order_relaxed);
   cv_.notify_all();
   while (st->pending != 0) {
     if (from_worker && !queue_.empty()) {
       // Help drain: run any queued task (ours or unrelated) so progress is
       // guaranteed even when every worker is blocked in a nested join.
-      Item item = std::move(queue_.front());
-      queue_.pop_front();
+      Item item = PopFront();
       helped_.fetch_add(1, std::memory_order_relaxed);
       RunTask(lock, std::move(item), tls_worker_id);
       continue;
@@ -270,16 +277,33 @@ Status TaskScheduler::ParallelFor(size_t n,
   return std::move(st->error);
 }
 
+TaskScheduler::Item TaskScheduler::PopFront() {
+  Item item = std::move(queue_.front());
+  queue_.pop_front();
+  queued_.store(queue_.size(), std::memory_order_relaxed);
+  return item;
+}
+
 void TaskScheduler::WorkerLoop(int worker_id) {
   tls_scheduler = this;
   tls_worker_id = worker_id;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
+    if (queue_.empty() && !shutdown_) {
+      // Poll before parking: a task submitted within kIdlePoll starts
+      // without a wake-up. Shutdown ends the poll at once.
+      lock.unlock();
+      const auto until = std::chrono::steady_clock::now() + kIdlePoll;
+      while (queued_.load(std::memory_order_relaxed) == 0 &&
+             !shutdown_.load(std::memory_order_relaxed) &&
+             std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+      lock.lock();
+    }
     cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
     if (queue_.empty()) return;  // shutdown and fully drained
-    Item item = std::move(queue_.front());
-    queue_.pop_front();
-    RunTask(lock, std::move(item), worker_id);
+    RunTask(lock, PopFront(), worker_id);
   }
 }
 

@@ -33,6 +33,13 @@
 // of parking (possibly running other groups' tasks), so a bucket task that
 // fans out sub-tasks and joins them cannot deadlock the pool — even with a
 // single worker thread.
+//
+// Idle workers poll before they park: a worker that finds the queue empty
+// watches an atomic mirror of its length for up to 500 µs, yielding
+// between checks, and only then waits on the condition variable. A
+// streaming operator forks and joins once per batch, and a parked worker
+// would start each batch's task a wake-up late. Shutdown ends the poll at
+// once.
 
 #ifndef CEA_EXEC_TASK_SCHEDULER_H_
 #define CEA_EXEC_TASK_SCHEDULER_H_
@@ -164,6 +171,8 @@ class TaskScheduler {
   };
 
   void WorkerLoop(int worker_id);
+  // Pops the queue's head; mutex_ must be held.
+  Item PopFront();
   // Pops nothing itself: runs `item.fn` with mutex_ released (catching and
   // recording errors into the item's group or the pool-wide slot), then
   // re-acquires mutex_, decrements the pending counters and wakes waiters.
@@ -173,11 +182,14 @@ class TaskScheduler {
   std::mutex mutex_;
   std::condition_variable cv_;  // queue activity and task completion
   std::deque<Item> queue_;
+  // queue_.size(), stored under mutex_ and polled without it by idle
+  // workers before they park.
+  std::atomic<size_t> queued_{0};
   size_t outstanding_ = 0;     // queued + running tasks, guarded by mutex_
   size_t blocked_depth_ = 0;   // enclosing-task frames of workers blocked in
                                // Wait(), guarded by mutex_
   Status first_error_;         // first pool-wide task error since last Wait()
-  bool shutdown_ = false;
+  std::atomic<bool> shutdown_{false};  // written under mutex_
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> helped_{0};

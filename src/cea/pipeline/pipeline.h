@@ -53,9 +53,9 @@ class RowView {
 
 namespace pipeline_internal {
 
-// Rows per fused batch: big enough to amortize the Consume call, small
-// enough that the gather buffers live in L1/L2.
-inline constexpr size_t kBatchRows = 4096;
+// Rows per fused batch: one default morsel, so that ConsumeBatch's fork-join
+// over the pool's workers pays (4 Ki-row batches ran ~1.4x slower).
+inline constexpr size_t kBatchRows = size_t{1} << 16;
 
 }  // namespace pipeline_internal
 

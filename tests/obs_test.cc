@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -322,6 +325,108 @@ TEST(ObsIntegration, TraceOnlyAndCountersOnlyModes) {
     ASSERT_TRUE(op.Execute(input, &result).ok());
     EXPECT_EQ(counters_only.trace().num_spans(), 0u);
   }
+}
+
+// The operator's spans (`pass`, `stream_batch`, `exact`) in a Chrome-trace
+// export: how many, their summed duration and the largest tid among them.
+struct OperatorSpans {
+  size_t count = 0;
+  double seconds = 0;
+  int max_tid = -1;
+};
+
+OperatorSpans ParseOperatorSpans(const std::string& json) {
+  OperatorSpans out;
+  const std::string open = "{\"name\":\"";
+  for (size_t pos = json.find(open); pos != std::string::npos;
+       pos = json.find(open, pos)) {
+    pos += open.size();
+    const size_t name_end = json.find('"', pos);
+    const std::string name = json.substr(pos, name_end - pos);
+    if (name != "pass" && name != "stream_batch" && name != "exact") continue;
+    // "tid" and "dur" precede the span's "args" object.
+    const size_t args = json.find("\"args\"", name_end);
+    auto field = [&](const char* key) {
+      const size_t at = json.find(key, name_end);
+      EXPECT_LT(at, args) << key;
+      return std::strtod(json.c_str() + at + std::strlen(key), nullptr);
+    };
+    out.seconds += field("\"dur\":") * 1e-6;  // microseconds
+    out.max_tid = std::max(out.max_tid, static_cast<int>(field("\"tid\":")));
+    ++out.count;
+  }
+  return out;
+}
+
+// Span/clock closure: the operator's spans cover the intervals its own
+// clock adds to seconds_at_level (within 5%), and every span sits on a
+// worker's tid — the calling thread records none, so each tid's buffer
+// has one writer.
+void ExpectSpansCloseWithLevelClock(ObsContext* obs, const ExecStats& stats,
+                                    int threads) {
+  const OperatorSpans spans = ParseOperatorSpans(obs->trace().ToChromeJson());
+  double clock = 0;
+  for (double sec : stats.seconds_at_level) clock += sec;
+  ASSERT_GT(spans.count, 0u);
+  ASSERT_GT(clock, 0.0);
+  EXPECT_NEAR(spans.seconds, clock, 0.05 * clock)
+      << spans.count << " spans";
+  EXPECT_GE(spans.max_tid, 0);
+  EXPECT_LT(spans.max_tid, threads);
+}
+
+AggregationOptions ClosureOptions(ObsContext* obs) {
+  AggregationOptions options;
+  options.num_threads = 4;
+  options.table_bytes = 1 << 16;  // recursion below level 0
+  options.obs = obs;
+  return options;
+}
+
+TEST(ObsIntegration, ExecuteSpansCloseWithLevelClock) {
+  GenParams gp;
+  gp.n = 1 << 19;
+  gp.k = 1 << 16;
+  std::vector<uint64_t> keys = GenerateKeys(gp);
+  InputTable input;
+  input.keys = keys.data();
+  input.num_rows = keys.size();
+
+  ObsContext obs(ObsContext::Options{false, true, false});
+  AggregationOperator op({{AggFn::kCount, -1}}, ClosureOptions(&obs));
+  ResultTable result;
+  ExecStats stats;
+  ASSERT_TRUE(op.Execute(input, &result, &stats).ok());
+  ExpectResultsMatch(&result, ReferenceAggregate(input, {{AggFn::kCount, -1}}));
+  EXPECT_GT(stats.max_level, 0);
+  ExpectSpansCloseWithLevelClock(&obs, stats, op.num_threads());
+}
+
+TEST(ObsIntegration, StreamSpansCloseWithLevelClock) {
+  GenParams gp;
+  gp.n = 1 << 19;
+  gp.k = 1 << 16;
+  std::vector<uint64_t> keys = GenerateKeys(gp);
+
+  ObsContext obs(ObsContext::Options{false, true, false});
+  AggregationOperator op({{AggFn::kCount, -1}}, ClosureOptions(&obs));
+  ASSERT_TRUE(op.BeginStream().ok());
+  const size_t batch_rows = 1 << 16;  // 8 batches, 4 morsels each
+  for (size_t off = 0; off < keys.size(); off += batch_rows) {
+    InputTable batch;
+    batch.keys = keys.data() + off;
+    batch.num_rows = std::min(batch_rows, keys.size() - off);
+    ASSERT_TRUE(op.ConsumeBatch(batch).ok());
+  }
+  ResultTable result;
+  ExecStats stats;
+  ASSERT_TRUE(op.FinishStream(&result, &stats).ok());
+  InputTable whole;
+  whole.keys = keys.data();
+  whole.num_rows = keys.size();
+  ExpectResultsMatch(&result, ReferenceAggregate(whole, {{AggFn::kCount, -1}}));
+  EXPECT_GT(stats.max_level, 0);
+  ExpectSpansCloseWithLevelClock(&obs, stats, op.num_threads());
 }
 
 TEST(ObsIntegration, StreamingModeRecordsBatchSpans) {

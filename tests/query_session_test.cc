@@ -14,6 +14,7 @@
 #include "cea/baselines/reference.h"
 #include "cea/core/aggregation_operator.h"
 #include "cea/exec/query_session.h"
+#include "cea/obs/obs.h"
 #include "test_util.h"
 
 namespace cea {
@@ -328,6 +329,84 @@ TEST(QuerySession, CancellingOneQueryDoesNotDisturbOthers) {
     EXPECT_TRUE(statuses[q].ok()) << "query " << q << ": "
                                   << statuses[q].message();
   }
+}
+
+// A streaming query beside a one-shot query on one shared pool, both
+// recording into one trace. The trace keeps one unlocked span buffer per
+// worker tid, so every span must be recorded by the worker whose tid it
+// carries; a span the streaming caller's thread recorded on a worker's
+// tid would race with that worker's own spans. Runs under TSan in CI.
+TEST(QuerySession, StreamingBesideExecuteSharesOneTrace) {
+  QuerySession::Options so;
+  so.num_threads = 2;
+  QuerySession session(so);
+  obs::ObsContext trace_only(obs::ObsContext::Options{false, true, false});
+
+  const size_t n = 1 << 15;
+  const size_t batch_rows = 4096;
+  constexpr int kRounds = 8;
+  std::vector<uint64_t> keys = MakeKeys(n, 1 << 10, /*salt=*/3);
+  std::vector<uint64_t> values(n);
+  for (size_t i = 0; i < n; ++i) values[i] = i % 1000;
+  InputTable input;
+  input.keys = keys.data();
+  input.values.push_back(values.data());
+  input.num_rows = n;
+  std::vector<AggregateSpec> specs{{AggFn::kSum, 0}, {AggFn::kCount, -1}};
+  const ResultTable expect = ReferenceAggregate(input, specs);
+  auto matches = [&](ResultTable* got) {
+    SortResultByKey(got);
+    return got->keys == expect.keys &&
+           got->aggregates[0].u64 == expect.aggregates[0].u64 &&
+           got->aggregates[1].u64 == expect.aggregates[1].u64;
+  };
+
+  auto options_for = [&](uint64_t query_id) {
+    AggregationOptions options;
+    options.scheduler = session.scheduler();
+    options.obs = &trace_only;
+    options.query_id = query_id;
+    options.table_bytes = 1 << 16;  // force recursion
+    return options;
+  };
+  AggregationOperator streamer(specs, options_for(1));
+  AggregationOperator executor(specs, options_for(2));
+
+  Status stream_status;
+  int stream_matched = 0;
+  std::thread stream_client([&] {
+    for (int round = 0; round < kRounds && stream_status.ok(); ++round) {
+      stream_status = streamer.BeginStream();
+      for (size_t off = 0; off < n && stream_status.ok(); off += batch_rows) {
+        InputTable batch;
+        batch.keys = keys.data() + off;
+        batch.values.push_back(values.data() + off);
+        batch.num_rows = std::min(batch_rows, n - off);
+        stream_status = streamer.ConsumeBatch(batch);
+      }
+      ResultTable got;
+      if (stream_status.ok()) stream_status = streamer.FinishStream(&got);
+      if (stream_status.ok() && matches(&got)) ++stream_matched;
+    }
+  });
+  Status execute_status;
+  int execute_matched = 0;
+  std::thread execute_client([&] {
+    for (int round = 0; round < kRounds && execute_status.ok(); ++round) {
+      ResultTable got;
+      execute_status = executor.Execute(input, &got);
+      if (execute_status.ok() && matches(&got)) ++execute_matched;
+    }
+  });
+  stream_client.join();
+  execute_client.join();
+
+  ASSERT_TRUE(stream_status.ok()) << stream_status.message();
+  ASSERT_TRUE(execute_status.ok()) << execute_status.message();
+  EXPECT_EQ(stream_matched, kRounds);
+  EXPECT_EQ(execute_matched, kRounds);
+  EXPECT_GT(trace_only.trace().num_spans(), 0u);
+  EXPECT_EQ(trace_only.trace().dropped(), 0u);
 }
 
 }  // namespace

@@ -120,18 +120,19 @@ bool ParseAggs(const std::string& spec_list,
   return true;
 }
 
-// Flag sanity: `name`, when present, must be a positive integer. GetUint
-// parses with strtoull, which silently wraps "-5" into a huge positive
-// value — validate on the raw string instead so nonsense fails loudly.
-bool RequirePositive(const cea::Flags& flags, const char* name) {
+// Flag sanity: `name`, when present, must be an integer of at least `min`
+// (1: a positive count, 0: a size where 0 means empty or automatic).
+// GetUint parses with strtoull, which silently wraps "-5" into a huge
+// positive value — validate on the raw string instead so nonsense fails
+// loudly.
+bool RequireAtLeast(const cea::Flags& flags, const char* name, int min) {
   if (!flags.Has(name)) return true;
   std::string v = flags.GetString(name, "");
   char* end = nullptr;
   long long x = std::strtoll(v.c_str(), &end, 0);
-  if (end == v.c_str() || *end != '\0' || x <= 0) {
-    std::fprintf(stderr,
-                 "usage error: --%s=%s (must be a positive integer)\n",
-                 name, v.c_str());
+  if (end == v.c_str() || *end != '\0' || x < min) {
+    std::fprintf(stderr, "usage error: --%s=%s (must be a %s integer)\n",
+                 name, v.c_str(), min > 0 ? "positive" : "non-negative");
     return false;
   }
   return true;
@@ -159,14 +160,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   // A budget of 0 MiB, zero worker threads, zero groups, zero partition
-  // passes, a zero metrics period or a negative deadline are nonsense;
-  // reject them up front instead of running a query that cannot succeed,
-  // failing a CHECK later, or wrapping the value into a huge count.
-  if (!RequirePositive(flags, "mem_budget_mb") ||
-      !RequirePositive(flags, "deadline_ms") ||
-      !RequirePositive(flags, "threads") || !RequirePositive(flags, "k") ||
-      !RequirePositive(flags, "passes") ||
-      !RequirePositive(flags, "metrics_period_ms")) {
+  // passes, a zero metrics period, a negative deadline or a negative size
+  // are nonsense; reject them up front instead of running a query that
+  // cannot succeed, failing a CHECK later, or wrapping the value into a
+  // huge count. Zero rows, a zero table size (the detected L3 share) and a
+  // zero k_hint (no hint) are valid.
+  if (!RequireAtLeast(flags, "mem_budget_mb", 1) ||
+      !RequireAtLeast(flags, "deadline_ms", 1) ||
+      !RequireAtLeast(flags, "threads", 1) ||
+      !RequireAtLeast(flags, "k", 1) || !RequireAtLeast(flags, "passes", 1) ||
+      !RequireAtLeast(flags, "metrics_period_ms", 1) ||
+      !RequireAtLeast(flags, "n", 0) ||
+      !RequireAtLeast(flags, "table_bytes", 0) ||
+      !RequireAtLeast(flags, "k_hint", 0)) {
     return 2;
   }
 
