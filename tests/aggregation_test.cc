@@ -314,6 +314,30 @@ TEST(Aggregation, LargeCacheSinglePass) {
   EXPECT_EQ(stats.max_level, 0);
 }
 
+TEST(Aggregation, InputBelowOneMorselFinishesInOnePassOnManyWorkers) {
+  // An input below one morsel is one morsel on one worker even at 4
+  // threads, as a small bucket is: that worker hashes every row, and with
+  // a table large enough for K its table is the final result (the
+  // sole-hasher shortcut). Split across the workers, each would flush its
+  // partial table into 256 runs for a needless level-1 recursion.
+  GenParams gp;
+  gp.n = 50000;
+  gp.k = 256;
+  std::vector<uint64_t> keys = GenerateKeys(gp);
+  InputTable input;
+  input.keys = keys.data();
+  input.num_rows = keys.size();
+  AggregationOptions options;
+  options.num_threads = 4;
+  options.table_bytes = 4 << 20;
+  ASSERT_LT(gp.n, options.morsel_rows);
+  ExecStats stats;
+  ExpectMatchesReference({{AggFn::kCount, -1}}, input, options, &stats);
+  EXPECT_EQ(stats.max_level, 0);
+  EXPECT_EQ(stats.final_hash_passes, 1u);
+  EXPECT_EQ(stats.tables_flushed, 0u);
+}
+
 TEST(Aggregation, KHintDoesNotChangeResults) {
   GenParams gp;
   gp.n = 30000;
