@@ -8,7 +8,9 @@
 // used() mark — the equivalent of an absolute limit in a fresh process.
 // Comfortable fractions complete without spilling; the spilled-byte
 // curve grows as the fraction shrinks, while every point returns the
-// calibration result bit-for-bit.
+// calibration result bit-for-bit. Each point builds one operator and runs
+// its --reps executions on it, as a long-lived executor would, so every
+// rep after the first rewinds and overwrites the operator's spill file.
 //
 // Usage: fig12_memory_fraction [--log_n=22] [--log_k=20] [--threads=2]
 //        [--fractions=2.0,1.5,1.0,0.75,0.5,0.25,0.1] [--spill_dir=/tmp]
@@ -94,10 +96,9 @@ int main(int argc, char** argv) {
   input.values.push_back(values.data());
   input.num_rows = keys.size();
 
-  auto run_once = [&](const AggregationOptions& options, ResultTable* result,
+  auto run_once = [&](AggregationOperator* op, ResultTable* result,
                       ExecStats* stats) {
-    AggregationOperator op(specs, options);
-    Status s = op.Execute(input, result, stats);
+    Status s = op->Execute(input, result, stats);
     if (!s.ok()) {
       std::fprintf(stderr, "aggregation failed: %s\n", s.message().c_str());
       std::exit(1);
@@ -111,7 +112,10 @@ int main(int argc, char** argv) {
   MemoryBudget::Global().SetLimit(0);
   ResultTable expect;
   ExecStats calib;
-  run_once(base, &expect, &calib);
+  {
+    AggregationOperator op(specs, base);
+    run_once(&op, &expect, &calib);
+  }
   const Fingerprint want = FingerprintOf(expect);
   const uint64_t working_set = calib.mem_peak_bytes;
 
@@ -139,13 +143,14 @@ int main(int argc, char** argv) {
     options.spill_dir = spill_dir;
     options.spill_threshold = spill_threshold;
 
+    AggregationOperator op(specs, options);
     ExecStats stats;
     std::vector<double> times;
     for (int r = 0; r < reps; ++r) {
       ResultTable result;
       ExecStats s;
       Timer t;
-      run_once(options, &result, &s);
+      run_once(&op, &result, &s);
       times.push_back(t.Seconds());
       if (!(FingerprintOf(result) == want)) {
         std::fprintf(stderr,

@@ -160,16 +160,16 @@ Status AggregationOperator::ValidateSpecs(const InputTable& input) const {
 }
 
 void AggregationOperator::ResetExecutionState() {
-  // Dropping the previous manager closes its unlinked spill files, which
-  // is what reclaims their disk space — on success, error unwind, and
-  // (via the destructor) operator teardown alike.
+  // The previous execution's segments are dead, on success and on error
+  // unwind alike: the next one overwrites the file from offset 0.
   spill_manager_.reset();
+  spill_file_.Rewind();
   if (!options_.spill_dir.empty()) {
     SpillManager::Config config;
     config.dir = options_.spill_dir;
     config.threshold = options_.spill_threshold;
-    spill_manager_ = std::make_unique<SpillManager>(config, key_words_,
-                                                    layout_, &control_);
+    spill_manager_ = std::make_unique<SpillManager>(
+        config, key_words_, layout_, &control_, &spill_file_);
   }
   for (auto& f : worker_finals_) f.clear();
   for (auto& s : worker_stats_) s = ExecStats{};
@@ -213,7 +213,7 @@ Status AggregationOperator::CollectResult(ResultTable* result,
   if (spill_manager_ != nullptr) {
     merged.spilled_bytes = spill_manager_->bytes_written();
     merged.spill_read_bytes = spill_manager_->bytes_read();
-    merged.spill_files = spill_manager_->files_created();
+    merged.spill_files = spill_manager_->files_used();
   }
   if (stats != nullptr) *stats = merged;
   if (options_.obs != nullptr && options_.obs->counters_enabled()) {
@@ -326,6 +326,10 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
         ->Set(static_cast<int64_t>(spill_manager_->buckets_restored()));
     spill->AddCounter("restore_time", Unit::kNanos)
         ->Set(static_cast<int64_t>(spill_manager_->restore_ns()));
+    spill->AddCounter("write_wait_time", Unit::kNanos)
+        ->Set(static_cast<int64_t>(spill_manager_->write_wait_ns()));
+    spill->AddCounter("write_time", Unit::kNanos)
+        ->Set(static_cast<int64_t>(spill_manager_->write_ns()));
   }
 
   // Worker nodes go through the real MergeFrom path: each worker's stats

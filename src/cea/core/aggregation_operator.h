@@ -13,8 +13,9 @@
 //   ResultTable result;
 //   Status s = op.Execute(InputTable::FromColumns(keys, {&amounts}), &result);
 //
-// Execute may be called repeatedly; thread pool and per-thread hash tables
-// are reused across calls.
+// Execute may be called repeatedly; thread pool, per-thread hash tables
+// and the spill file (see AggregationOptions::spill_dir) are reused across
+// calls.
 
 #ifndef CEA_CORE_AGGREGATION_OPERATOR_H_
 #define CEA_CORE_AGGREGATION_OPERATOR_H_
@@ -36,6 +37,7 @@
 #include "cea/exec/cancellation.h"
 #include "cea/exec/task_scheduler.h"
 #include "cea/mem/chunk_pool.h"
+#include "cea/mem/spill_file.h"
 #include "cea/obs/obs.h"
 
 namespace cea {
@@ -80,13 +82,15 @@ struct AggregationOptions {
   // this; ADAPTIVE never does).
   size_t k_hint = 0;
 
-  // Existing writable directory for spill files; empty disables spilling,
-  // in which case tripping the MemoryBudget fails the execution with
-  // kResourceExhausted. With a directory set and a non-zero budget limit,
-  // completed partition runs are written to unlinked temp files under
-  // pressure and read back during recursion in waves of up to one bucket
-  // per worker (spill_manager.h), so working sets far beyond the budget
-  // complete.
+  // Existing writable directory for the spill file; empty disables
+  // spilling, in which case tripping the MemoryBudget fails the execution
+  // with kResourceExhausted. With a directory set and a non-zero budget
+  // limit, completed partition runs are written to an unlinked temp file
+  // under pressure and read back during recursion in waves of up to one
+  // bucket per worker (spill_manager.h), so working sets far beyond the
+  // budget complete. The operator creates the file at its first spill and
+  // keeps it until destruction, rewinding it for each execution: an idle
+  // operator holds as much disk as its largest execution spilled.
   std::string spill_dir;
   // Fraction of the budget limit that MemoryBudget::used() may reach
   // before spilling starts (and, used() being monotone, stays on);
@@ -242,9 +246,15 @@ class AggregationOperator {
   // and polled by every pass context and exact task of this operator.
   QueryControl control_;
 
-  // Per-execution spill state; null when options_.spill_dir is empty.
-  // Recreated by ResetExecutionState, so error unwind and operator
-  // destruction close (and thereby reclaim) all spill files.
+  // The spill file, opened at the first spill and kept for the
+  // operator's lifetime. ResetExecutionState rewinds it to offset 0, so
+  // each execution overwrites the extents of the last one instead of
+  // paying for a close that frees them. It is unlinked, so destruction
+  // (or a crash) reclaims its disk space: at most the largest
+  // execution's spill volume.
+  SpillFile spill_file_;
+  // Per-execution spill state over spill_file_; null when
+  // options_.spill_dir is empty. Recreated by ResetExecutionState.
   std::unique_ptr<SpillManager> spill_manager_;
 
   std::vector<std::unique_ptr<WorkerResources>> resources_;  // per worker

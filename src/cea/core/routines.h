@@ -78,9 +78,10 @@ struct ExecStats {
   uint64_t chunks_allocated = 0;
   uint64_t chunks_recycled = 0;
   uint64_t mem_peak_bytes = 0;
-  // Spill telemetry (logical run bytes written to / read back from spill
-  // files and spill files created; zero when spilling is disabled or the
-  // budget never tripped the threshold).
+  // Spill telemetry (logical run bytes written to / read back from the
+  // spill file, and 1 when the execution spilled, whether its file is new
+  // or reused; zero when spilling is disabled or the budget never tripped
+  // the threshold).
   uint64_t spilled_bytes = 0;
   uint64_t spill_read_bytes = 0;
   uint64_t spill_files = 0;

@@ -25,6 +25,12 @@ uint64_t AlignUp(uint64_t bytes) {
   return (bytes + SpillFile::kAlign - 1) & ~uint64_t{SpillFile::kAlign - 1};
 }
 
+uint64_t ElapsedNs(std::chrono::steady_clock::time_point from,
+                   std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
+
 // A read window owned by one read call. Like SpillFile's staging buffer it
 // is plain I/O memory outside the MemoryBudget: reads run exactly when the
 // budget is tight.
@@ -70,11 +76,12 @@ size_t RestoreWaveSize(const std::vector<uint64_t>& restore_bytes,
 
 SpillManager::SpillManager(Config config, int key_words,
                            const StateLayout& layout,
-                           const QueryControl* control)
+                           const QueryControl* control, SpillFile* file)
     : config_(std::move(config)),
       key_words_(key_words),
       state_words_(layout.total_words),
-      control_(control) {
+      control_(control),
+      file_(*file) {
   CEA_CHECK(!config_.dir.empty());
   CEA_CHECK(config_.threshold > 0.0);
 }
@@ -101,13 +108,14 @@ void SpillManager::SpillRun(uint64_t key, Run* run) {
 
   Segment seg;
   seg.rows = rows;
+  const auto wait_start = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> io(io_mutex_);
+    const auto write_start = std::chrono::steady_clock::now();
     PollControl();
     if (!file_.is_open()) {
       Status s = file_.Create(config_.dir);
       if (!s.ok()) ThrowIo(std::move(s));
-      files_created_.fetch_add(1, std::memory_order_relaxed);
     }
     seg.file_offset = file_.size();
     auto append_column = [&](const ChunkedArray& col) {
@@ -125,17 +133,22 @@ void SpillManager::SpillRun(uint64_t key, Run* run) {
         PollControl();
         append_column(col);
       }
-      // Start the next segment (whoever writes it) on a block boundary;
-      // this also keeps the file readable between segment appends.
-      Status s = file_.Align();
+      // Start the next segment (whoever writes it) on a block boundary.
+      // The padded segment may stay staged: readers flush it first.
+      Status s = file_.Pad();
       if (!s.ok()) ThrowIo(std::move(s));
     } catch (...) {
-      // Cancellation or I/O failure mid-segment: drop the partial tail so
-      // the file stays aligned and consistent, and record nothing — the
-      // run still holds its rows and unwinds with the pass.
+      // Cancellation or I/O failure mid-segment: roll back to this
+      // segment's start, keeping earlier staged segments, and record
+      // nothing — the run still holds its rows and unwinds with the pass.
       file_.AbandonTail();
       throw;
     }
+    const auto write_end = std::chrono::steady_clock::now();
+    write_wait_ns_.fetch_add(ElapsedNs(wait_start, write_start),
+                             std::memory_order_relaxed);
+    write_ns_.fetch_add(ElapsedNs(write_start, write_end),
+                        std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -148,7 +161,8 @@ void SpillManager::SpillRun(uint64_t key, Run* run) {
           sizeof(uint64_t),
       std::memory_order_relaxed);
 
-  // Only after every byte is durable: release the chunks back to the pool.
+  // Every byte is in the file (staged or on disk): release the chunks
+  // back to the pool.
   for (ChunkedArray& col : run->key_cols) col.Clear();
   for (ChunkedArray& col : run->states) col.Clear();
   run->distinct = false;
@@ -187,6 +201,16 @@ uint64_t SpillManager::RestoreBytes(uint64_t rows) const {
          sizeof(uint64_t);
 }
 
+uint64_t SpillManager::SegmentEnd(const Segment& seg) const {
+  return seg.file_offset + AlignUp(RestoreBytes(seg.rows));
+}
+
+Status SpillManager::FlushThrough(uint64_t end) {
+  std::lock_guard<std::mutex> io(io_mutex_);
+  if (file_.flushed_size() >= end) return Status::Ok();
+  return file_.FinishWrites();
+}
+
 Status SpillManager::ReadSegment(const Segment& seg, char* buf,
                                  size_t buf_bytes,
                                  const SliceSink& sink) const {
@@ -221,6 +245,8 @@ Status SpillManager::ReadSegment(const Segment& seg, char* buf,
 
 Status SpillManager::ReadFinalSegment(const Segment& seg,
                                       const SliceSink& sink) {
+  Status flushed = FlushThrough(SegmentEnd(seg));
+  if (!flushed.ok()) return flushed;
   size_t buf_bytes = 0;
   Window buf = AllocWindow(RestoreBytes(seg.rows), &buf_bytes);
   if (buf == nullptr) {
@@ -259,15 +285,19 @@ void SpillManager::Restore(const PendingBucket& desc, Run* out) {
     streams_.erase(it);
   }
   // The producing pass has completed, so no more segments can arrive for
-  // this stream, and its segments are whole on disk: they are read without
-  // the I/O mutex, concurrently with other restores and with spills of
-  // other streams.
+  // this stream. Once the staging buffer is flushed past the last of them,
+  // they are read without the I/O mutex, concurrently with other restores
+  // and with spills of other streams.
   CEA_CHECK(static_cast<int>(out->key_cols.size()) == key_words_);
   CEA_CHECK(static_cast<int>(out->states.size()) == state_words_);
   uint64_t largest = 0;
+  uint64_t end = 0;
   for (const Segment& seg : stream.segments) {
     largest = std::max(largest, RestoreBytes(seg.rows));
+    end = std::max(end, SegmentEnd(seg));
   }
+  Status flushed = FlushThrough(end);
+  if (!flushed.ok()) ThrowIo(std::move(flushed));
   size_t buf_bytes = 0;
   Window buf = AllocWindow(largest, &buf_bytes);
   if (buf == nullptr) {
@@ -293,12 +323,8 @@ void SpillManager::Restore(const PendingBucket& desc, Run* out) {
   CEA_CHECK(out->size() == desc.rows);
   bytes_read_.fetch_add(RestoreBytes(desc.rows), std::memory_order_relaxed);
   buckets_restored_.fetch_add(1, std::memory_order_relaxed);
-  restore_ns_.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()),
-      std::memory_order_relaxed);
+  restore_ns_.fetch_add(ElapsedNs(start, std::chrono::steady_clock::now()),
+                        std::memory_order_relaxed);
 }
 
 }  // namespace cea

@@ -22,41 +22,48 @@
 // classes keeps marching used() into the limit.)
 //
 // File format. Each radix partition of each pass owns one logical stream,
-// keyed by PartitionKey(pass_id, p) — pass ids are process-unique, so
-// streams from different recursion branches never collide. All streams of
-// one manager share a single unlinked SpillFile: each spilled run becomes
-// one segment starting at a 4 KiB-aligned offset (SpillFile::Align after
-// every segment), laid out column-major — rows*8 bytes of key word 0,
-// ..., then each state word. Segment extents (row count + file offset)
-// live in memory only, per stream; restore concatenates a stream's
-// segments into a single non-distinct Run, which the next recursion level
-// re-partitions or re-aggregates from scratch. One file — rather than one
-// per stream — bounds the descriptor and staging-buffer footprint to a
-// single fd + 1 MiB no matter how deep the recursion fans out (deep
-// tiny-budget runs used to exhaust the fd limit); each read adds one read
-// window of at most 1 MiB for its duration. Restored segments
-// become dead space in the file; the disk is reclaimed wholesale when the
-// manager drops.
+// keyed by PartitionKey(pass_id, p) — pass ids are unique per execution,
+// so streams from different recursion branches never collide. All streams
+// of one execution share a single unlinked SpillFile, owned by the
+// operator and handed to each execution's manager rewound to offset 0.
+// Each spilled run becomes one segment starting at a 4 KiB-aligned offset
+// (SpillFile::Pad after every segment), laid out column-major — rows*8
+// bytes of key word 0, ..., then each state word. Segments pack into the
+// file's 1 MiB staging buffer, which goes to disk only when full, or when
+// a reader needs a segment that is still staged. Segment extents (row
+// count + file offset) live in memory only, per stream; restore
+// concatenates a stream's segments into a single non-distinct Run, which
+// the next recursion level re-partitions or re-aggregates from scratch.
+// One file — rather than one per stream — bounds the descriptor and
+// staging-buffer footprint to a single fd + 1 MiB no matter how deep the
+// recursion fans out (deep tiny-budget runs used to exhaust the fd
+// limit); each read adds one read window of at most 1 MiB for its
+// duration. Restored segments become dead space in the file, and the next
+// execution overwrites it from offset 0.
 //
 // Recovery invariants:
 //  * A stream only receives writes while its producing pass runs; the
 //    bucket is restored strictly after that pass completed. Appends are
-//    serialized by the I/O mutex. Reads take no lock: a recorded segment
-//    is complete and Align-padded on disk, so its whole blocks are read
-//    with SpillFile::ReadBlocks, which is safe beside other reads and
-//    beside appends past it.
-//  * A spill that fails mid-segment (I/O error, cancellation) abandons
-//    the partial tail (SpillFile::AbandonTail) and records nothing: the
-//    stream keeps only complete segments on every unwind path.
+//    serialized by the I/O mutex. Every reader (Restore, ReadFinalSegment)
+//    first flushes the staging buffer under the I/O mutex if its segments
+//    end past SpillFile::flushed_size(); the reads themselves take no
+//    lock: a recorded segment is then complete and padded on disk, so its
+//    whole blocks are read with SpillFile::ReadBlocks, which is safe
+//    beside other reads and beside appends past it.
+//  * A spill that fails mid-segment (I/O error, cancellation) rolls the
+//    file back to that segment's start (SpillFile::AbandonTail), keeping
+//    earlier segments, staged or on disk, and records nothing: the stream
+//    keeps only complete segments on every unwind path.
 //  * Restored runs are marked non-distinct even if every contributing run
 //    was distinct — rows of one group may be split across segments.
-//  * The spill file is unlinked at creation; dropping the manager
-//    (success, error unwind, operator destruction) reclaims all disk
-//    space.
+//  * The spill file is unlinked at creation, so closing it (operator
+//    destruction, process exit or crash) reclaims all its disk space.
+//    Between executions the operator keeps it open at the size of its
+//    largest execution's spill volume.
 //
 // Thread-safe: workers spill concurrently under the I/O mutex and restore
-// concurrently without it; the stream registry and the restore queue are
-// guarded by a separate manager mutex.
+// concurrently without it (after the flush check above); the stream
+// registry and the restore queue are guarded by a separate manager mutex.
 
 #ifndef CEA_CORE_SPILL_MANAGER_H_
 #define CEA_CORE_SPILL_MANAGER_H_
@@ -109,8 +116,12 @@ class SpillManager {
 
   // `control` is polled between I/O chunks so cancellation and deadlines
   // interrupt spill writes/reads like any other pass work; may be null.
+  // `file` is the spill file this execution appends to, from its current
+  // end; the manager creates it in config.dir at the first spill if it is
+  // not open yet and never closes it. It must outlive the manager, and
+  // only this manager may touch it while the manager lives.
   SpillManager(Config config, int key_words, const StateLayout& layout,
-               const QueryControl* control);
+               const QueryControl* control, SpillFile* file);
 
   SpillManager(const SpillManager&) = delete;
   SpillManager& operator=(const SpillManager&) = delete;
@@ -149,9 +160,10 @@ class SpillManager {
 
   // Reads one final-output segment and hands it to `sink` slice by slice
   // in file order: the rows of one column ascend, and column c is complete
-  // before column c + 1 starts. The window buffer is plain memory outside
-  // the budget, so final rows never re-enter pooled memory on their way
-  // to the caller. Returns I/O failures and cancellation as Status.
+  // before column c + 1 starts. Flushes the staging buffer first when the
+  // segment is still in it. The window buffer is plain memory outside the
+  // budget, so final rows never re-enter pooled memory on their way to
+  // the caller. Returns I/O failures and cancellation as Status.
   Status ReadFinalSegment(const Segment& seg, const SliceSink& sink);
 
   // True once MemoryBudget::used() crossed threshold * limit (never when
@@ -159,9 +171,10 @@ class SpillManager {
   // rest of the process. Cheap: two relaxed atomic loads.
   bool ShouldSpill() const;
 
-  // Appends the rows of `run` to stream `key` and releases the run's
-  // chunks back to the pool (the run is left empty but usable). Throws
-  // StatusError on I/O failure or cancellation.
+  // Appends the rows of `run` to stream `key` as one segment and releases
+  // the run's chunks back to the pool (the run is left empty but usable).
+  // The segment may stay in the staging buffer until a reader needs it.
+  // Throws StatusError on I/O failure or cancellation.
   void SpillRun(uint64_t key, Run* run);
 
   // True when stream `key` holds at least one segment.
@@ -177,7 +190,8 @@ class SpillManager {
   std::vector<PendingBucket> TakeWave(int max_buckets);
 
   // Reads every segment of the pending bucket's stream back into `out`
-  // (appended column-wise, marked non-distinct) and drops the stream.
+  // (appended column-wise, marked non-distinct) and drops the stream,
+  // flushing the staging buffer first when a segment is still in it.
   // Safe to run for several buckets at once. Throws StatusError on I/O
   // failure or cancellation, and MemoryBudgetExceeded when the bucket does
   // not fit the budget.
@@ -190,15 +204,22 @@ class SpillManager {
   uint64_t bytes_read() const {
     return bytes_read_.load(std::memory_order_relaxed);
   }
-  uint64_t files_created() const {
-    return files_created_.load(std::memory_order_relaxed);
-  }
+  // 1 once this execution spilled, whether the file is new or reused.
+  uint64_t files_used() const { return bytes_written() != 0 ? 1 : 0; }
   uint64_t buckets_restored() const {
     return buckets_restored_.load(std::memory_order_relaxed);
   }
   // Wall time spent in Restore, summed over buckets.
   uint64_t restore_ns() const {
     return restore_ns_.load(std::memory_order_relaxed);
+  }
+  // Time SpillRun calls spent waiting for the I/O mutex, and holding it
+  // (copying into the staging buffer plus any buffer writes), summed.
+  uint64_t write_wait_ns() const {
+    return write_wait_ns_.load(std::memory_order_relaxed);
+  }
+  uint64_t write_ns() const {
+    return write_ns_.load(std::memory_order_relaxed);
   }
 
   const std::string& dir() const { return config_.dir; }
@@ -213,6 +234,11 @@ class SpillManager {
   void PollControl() const;
   // Bytes a restored bucket of `rows` rows occupies in the run store.
   uint64_t RestoreBytes(uint64_t rows) const;
+  // File offset just past `seg`'s padded tail.
+  uint64_t SegmentEnd(const Segment& seg) const;
+  // Writes the staging buffer out, under the I/O mutex, unless the file
+  // is already on disk up to `end`.
+  Status FlushThrough(uint64_t end);
   // Reads `seg` in block windows of at most `buf_bytes` through `buf`
   // (kAlign-aligned, a multiple of kAlign) and hands each column slice to
   // `sink` in file order. Polls cancellation before every window.
@@ -224,11 +250,11 @@ class SpillManager {
   const int state_words_;
   const QueryControl* control_;
 
-  // Serializes appends to the shared file (and its creation); reads go
-  // through SpillFile::ReadBlocks without it. Never acquired while holding
-  // mutex_.
+  // Serializes appends to the shared file (its creation and flushes
+  // too); reads go through SpillFile::ReadBlocks without it. Never
+  // acquired while holding mutex_.
   std::mutex io_mutex_;
-  SpillFile file_;
+  SpillFile& file_;
 
   mutable std::mutex mutex_;
   std::map<uint64_t, PartitionStream> streams_;
@@ -236,9 +262,10 @@ class SpillManager {
 
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> bytes_read_{0};
-  std::atomic<uint64_t> files_created_{0};
   std::atomic<uint64_t> buckets_restored_{0};
   std::atomic<uint64_t> restore_ns_{0};
+  std::atomic<uint64_t> write_wait_ns_{0};
+  std::atomic<uint64_t> write_ns_{0};
 };
 
 }  // namespace cea

@@ -67,6 +67,7 @@ SpillFile::SpillFile(SpillFile&& other) noexcept
       direct_(std::exchange(other.direct_, false)),
       logical_size_(std::exchange(other.logical_size_, 0)),
       disk_offset_(std::exchange(other.disk_offset_, 0)),
+      segment_end_(std::exchange(other.segment_end_, 0)),
       staged_(std::exchange(other.staged_, 0)),
       buf_(std::exchange(other.buf_, nullptr)) {}
 
@@ -77,6 +78,7 @@ SpillFile& SpillFile::operator=(SpillFile&& other) noexcept {
     direct_ = std::exchange(other.direct_, false);
     logical_size_ = std::exchange(other.logical_size_, 0);
     disk_offset_ = std::exchange(other.disk_offset_, 0);
+    segment_end_ = std::exchange(other.segment_end_, 0);
     staged_ = std::exchange(other.staged_, 0);
     buf_ = std::exchange(other.buf_, nullptr);
   }
@@ -91,8 +93,13 @@ void SpillFile::Close() {
   std::free(buf_);
   buf_ = nullptr;
   direct_ = false;
+  Rewind();
+}
+
+void SpillFile::Rewind() {
   logical_size_ = 0;
   disk_offset_ = 0;
+  segment_end_ = 0;
   staged_ = 0;
 }
 
@@ -164,20 +171,44 @@ Status SpillFile::FinishWrites() {
   return Status::Ok();
 }
 
-Status SpillFile::Align() {
-  Status s = FinishWrites();
-  if (!s.ok()) return s;
+Status SpillFile::Pad() {
+  CEA_CHECK(fd_ >= 0);
+  const size_t padded = (staged_ + kAlign - 1) & ~(kAlign - 1);
+  std::memset(buf_ + staged_, 0, padded - staged_);
+  staged_ = padded;
+  if (staged_ == kBufBytes) {
+    Status s = WriteBlocks(buf_, kBufBytes);
+    if (!s.ok()) return s;
+    staged_ = 0;
+  }
   // Fold the padding into the logical stream so logical offsets keep
   // mapping 1:1 onto disk offsets after more appends. Callers track their
   // own payload extents; the pad bytes are dead space between segments.
+  logical_size_ = disk_offset_ + staged_;
+  segment_end_ = logical_size_;
+  return Status::Ok();
+}
+
+Status SpillFile::Align() {
+  Status s = FinishWrites();
+  if (!s.ok()) return s;
   logical_size_ = disk_offset_;
+  segment_end_ = logical_size_;
   return Status::Ok();
 }
 
 void SpillFile::AbandonTail() {
   if (fd_ < 0) return;
-  staged_ = 0;
-  logical_size_ = disk_offset_;
+  logical_size_ = segment_end_;
+  if (segment_end_ >= disk_offset_) {
+    // The abandoned bytes are all staged; earlier segments keep theirs.
+    staged_ = static_cast<size_t>(segment_end_ - disk_offset_);
+  } else {
+    // A full buffer already carried the abandoned segment's head to disk;
+    // the next write overwrites it.
+    disk_offset_ = segment_end_;
+    staged_ = 0;
+  }
 }
 
 Status SpillFile::ReadAt(uint64_t offset, void* dst, size_t bytes) {

@@ -8,20 +8,26 @@
 //    mkstemp + immediate unlink), so the kernel reclaims them on close —
 //    including process crash, cancellation unwind, and operator
 //    destruction. Nothing is ever left behind in the spill directory.
-//  * Writes go through a 4 KiB-aligned staging buffer and hit the disk in
-//    whole aligned blocks, mirroring the write-combining idiom of
+//  * Writes go through a 4 KiB-aligned 1 MiB staging buffer and hit the
+//    disk as whole buffers, mirroring the write-combining idiom of
 //    stream_store.h at page granularity: spilling a run should stream at
 //    device bandwidth, not bounce through the page cache line by line.
-//    O_DIRECT is attempted first and silently dropped when the filesystem
-//    does not support it (tmpfs, some network filesystems); the aligned
-//    block discipline is kept either way.
+//    Pad ends a segment inside the buffer, so many small segments share
+//    one write; FinishWrites and Align put the staged bytes on disk
+//    early. O_DIRECT is attempted first and silently dropped when the
+//    filesystem does not support it (tmpfs, some network filesystems);
+//    the aligned block discipline is kept either way.
+//  * Rewind restarts the stream at offset 0 and keeps the descriptor, so
+//    one file can serve many executions: later writes overwrite the
+//    extents already allocated, and the file holds the largest extent
+//    written since Create until Close.
 //  * All I/O reports failure as Status (never throws): spilling happens on
 //    the exhaustion path, where a second exception would be fatal.
 //
 // Not thread-safe, with one exception: ReadBlocks touches no staging
 // state, so it may run concurrently with other ReadBlocks calls and with
-// an Append/Align writing past the range it reads. Callers (SpillManager)
-// serialize every other call per file.
+// an Append/Pad/Align writing past the range it reads. Callers
+// (SpillManager) serialize every other call per file.
 
 #ifndef CEA_MEM_SPILL_FILE_H_
 #define CEA_MEM_SPILL_FILE_H_
@@ -65,28 +71,42 @@ class SpillFile {
   Status Create(const std::string& dir);
 
   // Appends `bytes` bytes of `data` to the logical stream. Data is staged
-  // and written out in whole kAlign blocks; the trailing partial block
-  // stays buffered until more data arrives or FinishWrites pads it.
+  // and written out one full staging buffer at a time; the rest stays
+  // staged until more data arrives or FinishWrites pads and writes it.
   Status Append(const void* data, size_t bytes);
 
   // Flushes the trailing partial block (zero-padded on disk; the logical
   // size is unchanged). Must be called before ReadAt. Idempotent.
   Status FinishWrites();
 
-  // Like FinishWrites, but also rounds the logical size up to the padded
-  // kAlign boundary, so a later Append starts a fresh aligned region and
-  // earlier regions stay readable. This is how SpillManager packs many
-  // independent segments into one file: Align after each segment, record
-  // the segment's [offset, offset+bytes) extent, and reads and appends
-  // can then interleave at segment granularity. Idempotent.
+  // Ends a segment: zero-pads the staged tail to the next kAlign boundary
+  // and rounds the logical size up to it, so the next Append starts a
+  // fresh aligned segment. The padding stays in the staging buffer; the
+  // file is written only when that fills the buffer. This is how
+  // SpillManager packs many independent segments into one file: Pad after
+  // each segment and record its [offset, offset+bytes) extent. A segment
+  // becomes readable with ReadBlocks once flushed_size() covers its padded
+  // end (FinishWrites flushes). Idempotent.
+  Status Pad();
+
+  // Like Pad, but also writes the staged bytes: the segment is on disk
+  // when Align returns, so reads and appends can interleave at segment
+  // granularity. Idempotent.
   Status Align();
 
-  // Discards any staged-but-unwritten bytes and rolls the logical size
-  // back to the last block boundary flushed to disk. Cannot fail. Used on
-  // exception unwind mid-append: the abandoned partial region becomes
-  // dead space that no reader ever references, and the file is back in a
-  // state where Append/Align/ReadAt all work.
+  // Rolls the stream back to the end of the last complete segment (the
+  // last Pad or Align) and discards everything appended since, staged or
+  // already written. Cannot fail. Used on exception unwind mid-append:
+  // earlier segments, staged or on disk, stay intact, the next Append
+  // starts where the abandoned segment did, and Append/Pad/ReadAt all
+  // work again.
   void AbandonTail();
+
+  // Restarts the logical stream at offset 0, dropping every appended and
+  // staged byte. The descriptor, the staging buffer and the disk extents
+  // already written are kept: later writes overwrite them in place instead
+  // of allocating new ones, and the file never shrinks before Close.
+  void Rewind();
 
   // Reads `bytes` logical bytes at `offset` into `dst` (any alignment),
   // bouncing through the aligned staging buffer. Only valid while no
@@ -96,13 +116,15 @@ class SpillFile {
 
   // Reads `bytes` bytes at `offset` straight into `dst` with positional
   // reads, bypassing the staging buffer. `offset`, `bytes` and `dst` must
-  // be kAlign-aligned and the range must already be on disk (written by
-  // FinishWrites or Align; Align-padded segments qualify). Safe to call
-  // concurrently (see the class comment).
+  // be kAlign-aligned and the range must already be on disk, below
+  // flushed_size() (padded segments qualify). Safe to call concurrently
+  // (see the class comment).
   Status ReadBlocks(uint64_t offset, void* dst, size_t bytes) const;
 
   // Logical bytes appended so far.
   uint64_t size() const { return logical_size_; }
+  // Bytes from offset 0 that are on disk; ReadBlocks may read below it.
+  uint64_t flushed_size() const { return disk_offset_; }
   bool is_open() const { return fd_ >= 0; }
   // True when the file descriptor carries O_DIRECT.
   bool direct_io() const { return direct_; }
@@ -116,6 +138,7 @@ class SpillFile {
   bool direct_ = false;
   uint64_t logical_size_ = 0;  // bytes the caller appended
   uint64_t disk_offset_ = 0;   // aligned bytes actually written to disk
+  uint64_t segment_end_ = 0;   // logical size at the last Pad or Align
   size_t staged_ = 0;          // bytes pending in buf_
   char* buf_ = nullptr;        // kAlign-aligned, kBufBytes staging buffer
 };

@@ -1,9 +1,10 @@
 // Tests of the spill-to-disk degradation path: the SpillFile I/O
-// primitive (including concurrent block reads beside appends),
-// SpillManager segment round-trips and restore-wave admission, the
-// operator completing group-bys whose working set exceeds the memory
-// budget (verified against the unlimited-budget reference, batch and
-// streaming), the budget-exhaustion unwind paths (no chunk accounting
+// primitive (including concurrent block reads beside appends and the
+// rollback of an abandoned segment), SpillManager segment round-trips and
+// restore-wave admission, the operator completing group-bys whose working
+// set exceeds the memory budget (verified against the unlimited-budget
+// reference, batch and streaming), one spill file serving every execution
+// of an operator, the budget-exhaustion unwind paths (no chunk accounting
 // leaks), and a seeded differential fuzz including mid-spill cancellation.
 
 #include <gtest/gtest.h>
@@ -12,9 +13,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,7 +109,7 @@ TEST(SpillFile, RoundTripOddSizesAcrossAlignBoundaries) {
   }
 }
 
-// Payload byte `i` of segment `seg` in the concurrency test below.
+// Payload byte `i` of segment `seg` in the SpillFile tests below.
 char SegmentByte(size_t seg, size_t i) {
   return static_cast<char>((seg * 131 + i * 7 + (i >> 9)) & 0xFF);
 }
@@ -179,6 +183,44 @@ TEST(SpillFile, ReadBlocksConcurrentWithAppend) {
   EXPECT_GE(reads.load(), 4u * 200u);
 }
 
+// The rollback contract: abandoning a partial segment drops that segment
+// only. The segment before it survives, whether still staged or already
+// on disk, and the next segment starts where the abandoned one did.
+TEST(SpillFile, AbandonTailKeepsEarlierSegments) {
+  // A small abandoned segment stays staged; a large one sends its head to
+  // disk with a full staging buffer.
+  for (size_t b_bytes : {size_t{10000}, SpillFile::kBufBytes + 5000}) {
+    SpillFile f;
+    ASSERT_TRUE(f.Create(SpillDir()).ok());
+    auto segment = [](size_t seg, size_t bytes) {
+      std::vector<char> v(bytes);
+      for (size_t i = 0; i < bytes; ++i) v[i] = SegmentByte(seg, i);
+      return v;
+    };
+    const std::vector<char> a = segment(0, 5000);
+    const std::vector<char> b = segment(1, b_bytes);
+    const std::vector<char> c = segment(2, 70000);
+
+    ASSERT_TRUE(f.Append(a.data(), a.size()).ok());
+    ASSERT_TRUE(f.Pad().ok());
+    const uint64_t b_offset = f.size();
+    EXPECT_EQ(b_offset % SpillFile::kAlign, 0u);
+    ASSERT_TRUE(f.Append(b.data(), b.size()).ok());
+    f.AbandonTail();
+    EXPECT_EQ(f.size(), b_offset) << "B of " << b_bytes << " bytes";
+    ASSERT_TRUE(f.Append(c.data(), c.size()).ok());
+    ASSERT_TRUE(f.Pad().ok());
+    ASSERT_TRUE(f.FinishWrites().ok());
+
+    std::vector<char> back(a.size());
+    ASSERT_TRUE(f.ReadAt(0, back.data(), back.size()).ok());
+    EXPECT_EQ(back, a) << "B of " << b_bytes << " bytes";
+    back.resize(c.size());
+    ASSERT_TRUE(f.ReadAt(b_offset, back.data(), back.size()).ok());
+    EXPECT_EQ(back, c) << "B of " << b_bytes << " bytes";
+  }
+}
+
 TEST(SpillFile, CreateInMissingDirectoryFails) {
   SpillFile f;
   Status s = f.Create("/nonexistent-spill-dir-for-test");
@@ -209,7 +251,9 @@ TEST(SpillManager, SegmentRoundTripConcatenatesRuns) {
   StateLayout layout({{AggFn::kCount, -1}, {AggFn::kSum, 0}});
   SpillManager::Config config;
   config.dir = SpillDir();
-  SpillManager mgr(config, /*key_words=*/1, layout, /*control=*/nullptr);
+  SpillFile file;
+  SpillManager mgr(config, /*key_words=*/1, layout, /*control=*/nullptr,
+                   &file);
 
   // Two runs into one stream, sizes chosen to cross chunk boundaries.
   const size_t n1 = 700, n2 = 1300;
@@ -228,9 +272,12 @@ TEST(SpillManager, SegmentRoundTripConcatenatesRuns) {
 
   const uint64_t key = SpillManager::PartitionKey(7, 42);
   EXPECT_FALSE(mgr.HasSpilled(key));
+  const uint64_t written = SpillFile::GetTotals().bytes_written;
   mgr.SpillRun(key, &a);
   mgr.SpillRun(key, &b);
   EXPECT_TRUE(mgr.HasSpilled(key));
+  // Both segments fit the staging buffer: nothing is written yet.
+  EXPECT_EQ(SpillFile::GetTotals().bytes_written, written);
   // Spilled runs are emptied (chunks back to the pool) but stay usable.
   EXPECT_EQ(a.size(), 0u);
   EXPECT_FALSE(a.distinct);
@@ -246,6 +293,8 @@ TEST(SpillManager, SegmentRoundTripConcatenatesRuns) {
 
   ::cea::Run out(1, layout);
   mgr.Restore(desc, &out);
+  // Restore flushed the staged segments before reading them.
+  EXPECT_GE(file.flushed_size(), file.size());
   ASSERT_EQ(out.size(), n1 + n2);
   // Restored rows must be non-distinct: one group's rows may straddle the
   // segment boundary.
@@ -288,7 +337,8 @@ TEST(SpillManager, TakeWaveTakesOneBucketPerWorkerWithoutLimit) {
   StateLayout layout({{AggFn::kCount, -1}});
   SpillManager::Config config;
   config.dir = SpillDir();
-  SpillManager mgr(config, 1, layout, nullptr);
+  SpillFile file;
+  SpillManager mgr(config, 1, layout, nullptr, &file);
   for (uint32_t p = 0; p < 6; ++p) {
     ::cea::Run r(1, layout);
     r.key_cols[0].Append(p);
@@ -309,7 +359,8 @@ TEST(SpillManager, ShouldSpillNeverFiresWithoutLimit) {
   SpillManager::Config config;
   config.dir = SpillDir();
   config.threshold = 0.01;
-  SpillManager mgr(config, 1, layout, nullptr);
+  SpillFile file;
+  SpillManager mgr(config, 1, layout, nullptr, &file);
   EXPECT_FALSE(mgr.ShouldSpill());
 }
 
@@ -445,6 +496,8 @@ TEST(SpillOperator, StreamingFinishDrainsSpilledBuckets) {
   ASSERT_NE(spill, nullptr);
   EXPECT_GT(spill->FindCounter("buckets_restored")->value(), 1);
   EXPECT_GT(spill->FindCounter("restore_time")->value(), 0);
+  EXPECT_GT(spill->FindCounter("write_wait_time")->value(), 0);
+  EXPECT_GT(spill->FindCounter("write_time")->value(), 0);
   // One "restore" span per restored bucket.
   const std::string trace = obs.trace().ToChromeJson();
   size_t restore_spans = 0;
@@ -455,6 +508,64 @@ TEST(SpillOperator, StreamingFinishDrainsSpilledBuckets) {
   }
   EXPECT_EQ(static_cast<int64_t>(restore_spans),
             spill->FindCounter("buckets_restored")->value());
+}
+
+// Entries in this process's descriptor table.
+size_t OpenFds() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator()));
+}
+
+// One operator keeps one spill file across executions, a failed one
+// included: each execution rewinds and overwrites it, and destroying the
+// operator closes it.
+TEST(SpillOperator, OneFileServesEveryExecutionOfAnOperator) {
+  std::vector<uint64_t> keys = UniformKeys(1 << 18, 1 << 17, 31);
+  Column values = GenerateValues(keys.size(), 32);
+  InputTable input;
+  input.keys = keys.data();
+  input.values.push_back(values.data());
+  input.num_rows = keys.size();
+  const std::vector<AggregateSpec> specs = {{AggFn::kCount, -1},
+                                            {AggFn::kSum, 0}};
+  const ResultTable expect = ReferenceAggregate(input, specs);
+
+  BudgetGuard guard;
+  // Room for the first chunk of every partition column of both workers'
+  // contexts (2 x 256 partitions x 3 columns x 4 KiB) in a fresh process.
+  guard.SetHeadroom(16 << 20);
+  const size_t fds = OpenFds();
+  const uint64_t files = SpillFile::GetTotals().files_created;
+  std::atomic<bool> fail{false};
+  AggregationOptions o = SpillOptions(/*threads=*/2, /*threshold=*/0.2);
+  o.fault_hook = [&fail](int level) {
+    if (level >= 1 && fail.load()) throw std::runtime_error("injected");
+  };
+  {
+    AggregationOperator op(specs, o);
+    for (int round = 0; round < 3; ++round) {
+      fail.store(round == 1);
+      const uint64_t written = SpillFile::GetTotals().bytes_written;
+      ResultTable got;
+      ExecStats stats;
+      Status s = op.Execute(input, &got, &stats);
+      if (round == 1) {
+        EXPECT_FALSE(s.ok());
+        // Level 0 spilled whole buffers before level 1 failed.
+        EXPECT_GT(SpillFile::GetTotals().bytes_written, written);
+      } else {
+        ASSERT_TRUE(s.ok()) << "round " << round << ": " << s.message();
+        ExpectResultsMatch(&got, expect);
+        EXPECT_EQ(stats.spill_files, 1u) << "round " << round;
+        EXPECT_NE(FormatExecStats(stats).find("spill:"), std::string::npos)
+            << "round " << round;
+      }
+      EXPECT_EQ(OpenFds(), fds + 1) << "round " << round;
+    }
+  }
+  EXPECT_EQ(OpenFds(), fds);
+  EXPECT_EQ(SpillFile::GetTotals().files_created, files + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@
 //   --spill_threshold=F           fraction of the budget at which spilling
 //                                 starts (default 0.8; 0 < F <= 1.0).
 //                                 Requires --spill_dir.
-//   --csv [--csv_rows=N]          print result as CSV
+//   --csv [--csv_rows=N]          print result as CSV (first N rows; 0,
+//                                 the default, prints every row)
 //   --stats                       print execution telemetry (text, stderr)
 //   --stats=json                  print telemetry as one JSON object on
 //                                 stdout (machine info, timing, ExecStats,
@@ -56,11 +57,14 @@
 //
 // Any other flag is a usage error (exit 2), and so is a count that must be
 // positive (--k, --threads, --passes, --deadline_ms, --mem_budget_mb,
-// --metrics_period_ms) given as zero or negative.
+// --metrics_period_ms) given as zero or negative, a size that may be zero
+// (--n, --table_bytes, --k_hint, --c, --csv_rows) given as negative, and
+// an --alpha0 that is not a finite number >= 0.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -163,8 +167,8 @@ int main(int argc, char** argv) {
   // passes, a zero metrics period, a negative deadline or a negative size
   // are nonsense; reject them up front instead of running a query that
   // cannot succeed, failing a CHECK later, or wrapping the value into a
-  // huge count. Zero rows, a zero table size (the detected L3 share) and a
-  // zero k_hint (no hint) are valid.
+  // huge count. Zero rows, a zero table size (the detected L3 share), a
+  // zero k_hint (no hint), c = 0 and csv_rows = 0 (every row) are valid.
   if (!RequireAtLeast(flags, "mem_budget_mb", 1) ||
       !RequireAtLeast(flags, "deadline_ms", 1) ||
       !RequireAtLeast(flags, "threads", 1) ||
@@ -172,8 +176,23 @@ int main(int argc, char** argv) {
       !RequireAtLeast(flags, "metrics_period_ms", 1) ||
       !RequireAtLeast(flags, "n", 0) ||
       !RequireAtLeast(flags, "table_bytes", 0) ||
-      !RequireAtLeast(flags, "k_hint", 0)) {
+      !RequireAtLeast(flags, "k_hint", 0) || !RequireAtLeast(flags, "c", 0) ||
+      !RequireAtLeast(flags, "csv_rows", 0)) {
     return 2;
+  }
+  // The adaptive policy compares reduction factors against alpha0; a
+  // negative, non-numeric or non-finite threshold has no meaning.
+  if (flags.Has("alpha0")) {
+    std::string v = flags.GetString("alpha0", "");
+    char* end = nullptr;
+    const double alpha0 = std::strtod(v.c_str(), &end);
+    if (end == v.c_str() || *end != '\0' || !std::isfinite(alpha0) ||
+        alpha0 < 0.0) {
+      std::fprintf(stderr,
+                   "usage error: --alpha0=%s (must be a finite number >= 0)\n",
+                   v.c_str());
+      return 2;
+    }
   }
 
   // Spill flags. Each failure mode gets its own message: a silently
