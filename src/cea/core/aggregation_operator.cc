@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <type_traits>
 
 #include "cea/common/bits.h"
 #include "cea/common/check.h"
@@ -256,30 +257,17 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
       ->Set(static_cast<int64_t>(merged.rows_hashed_at_level[0] +
                                  merged.rows_partitioned_at_level[0]));
 
+  // The child nodes in render order; the ExecStats fields fill them below.
   obs::RuntimeProfile* strategy = root.GetOrCreateChild("strategy");
   strategy->SetInfo("policy", policy_name);
   strategy->SetInfo("alpha0", std::to_string(options_.alpha0));
   strategy->SetInfo("c", std::to_string(options_.c));
+  // Derived from sum_alpha / num_alpha, so not a list entry; it opens the
+  // node.
   strategy->AddCounter("mean_alpha", Unit::kDouble, MergeOp::kMax)
       ->SetDouble(merged.mean_alpha());
-  strategy->AddCounter("alpha_samples")->Set(
-      static_cast<int64_t>(merged.num_alpha));
-  strategy->AddCounter("switches_to_partition")
-      ->Set(static_cast<int64_t>(merged.switches_to_partition));
-  strategy->AddCounter("switches_to_hash")
-      ->Set(static_cast<int64_t>(merged.switches_to_hash));
-  strategy->AddCounter("final_hash_passes")
-      ->Set(static_cast<int64_t>(merged.final_hash_passes));
-  strategy->AddCounter("distinct_shortcut_runs")
-      ->Set(static_cast<int64_t>(merged.distinct_shortcut_runs));
-  strategy->AddCounter("fallback_buckets")
-      ->Set(static_cast<int64_t>(merged.fallback_buckets));
 
   obs::RuntimeProfile* passes = root.GetOrCreateChild("passes");
-  passes->AddCounter("passes")->Set(static_cast<int64_t>(merged.passes));
-  passes->AddCounter("morsels")->Set(static_cast<int64_t>(merged.morsels));
-  passes->AddCounter("tables_flushed")
-      ->Set(static_cast<int64_t>(merged.tables_flushed));
   for (int l = 0; l <= merged.max_level &&
                   l < static_cast<int>(merged.rows_hashed_at_level.size());
        ++l) {
@@ -302,26 +290,38 @@ void AggregationOperator::FillProfile(const ExecStats& merged) {
   sched->AddCounter("tasks_helped")
       ->Set(static_cast<int64_t>(ss.helped - scheduler_stats_base_.helped));
 
-  obs::RuntimeProfile* mem = root.GetOrCreateChild("memory");
-  mem->AddCounter("peak_bytes", Unit::kBytes, MergeOp::kMax)
-      ->Set(static_cast<int64_t>(merged.mem_peak_bytes));
-  mem->AddCounter("chunks_fresh")
-      ->Set(static_cast<int64_t>(merged.chunks_allocated));
-  mem->AddCounter("chunks_recycled")
-      ->Set(static_cast<int64_t>(merged.chunks_recycled));
+  root.GetOrCreateChild("memory");
 
   // Spill subtree only when spilling is configured, so the default profile
   // tree (pinned by check_profile_golden.py) is unchanged.
+  obs::RuntimeProfile* spill = nullptr;
   if (spill_manager_ != nullptr) {
-    obs::RuntimeProfile* spill = root.GetOrCreateChild("spill");
+    spill = root.GetOrCreateChild("spill");
     spill->SetInfo("dir", spill_manager_->dir());
     spill->SetInfo("threshold", std::to_string(spill_manager_->threshold()));
-    spill->AddCounter("spilled_bytes", Unit::kBytes)
-        ->Set(static_cast<int64_t>(merged.spilled_bytes));
-    spill->AddCounter("read_bytes", Unit::kBytes)
-        ->Set(static_cast<int64_t>(merged.spill_read_bytes));
-    spill->AddCounter("files")
-        ->Set(static_cast<int64_t>(merged.spill_files));
+  }
+
+  // Each CEA_EXEC_STATS_FIELDS entry under its node; skipped when the
+  // profile does not show the field or the node is absent.
+  auto add_field = [&root](const char* node, const char* counter, Unit unit,
+                           MergeOp op, auto value) {
+    obs::RuntimeProfile* parent =
+        node == nullptr ? nullptr : root.FindChild(node);
+    if (parent == nullptr) return;
+    obs::RuntimeProfile::Counter* c = parent->AddCounter(counter, unit, op);
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      c->SetDouble(value);
+    } else {
+      c->Set(static_cast<int64_t>(value));
+    }
+  };
+#define CEA_PROFILE_FIELD(type, name, merge, node, counter, unit) \
+  add_field(node, counter, Unit::k##unit, MergeOp::k##merge, merged.name);
+  CEA_EXEC_STATS_FIELDS(CEA_PROFILE_FIELD)
+#undef CEA_PROFILE_FIELD
+
+  // SpillManager's own counters follow the spill fields.
+  if (spill != nullptr) {
     spill->AddCounter("buckets_restored")
         ->Set(static_cast<int64_t>(spill_manager_->buckets_restored()));
     spill->AddCounter("restore_time", Unit::kNanos)

@@ -10,40 +10,14 @@
 
 namespace cea {
 
-// Layout canary: a field added to ExecStats without extending Merge()
-// (and ExecStatsToJson / FormatExecStats) silently drops telemetry when
-// per-worker stats are merged. Growing the struct trips this assert;
-// update Merge(), the JSON/text serializers, the stats tests, and then the
-// expected size. (LP64 layout: 16 u64 counters, an int padded to 8 bytes,
-// double, u64, then three per-level arrays.)
-#if defined(__x86_64__) || defined(__aarch64__)
-static_assert(sizeof(ExecStats) ==
-                  19 * sizeof(uint64_t) +
-                      3 * sizeof(std::array<uint64_t, kMaxRadixLevel + 1>),
-              "ExecStats changed: update Merge(), ExecStatsToJson(), "
-              "FormatExecStats() and this canary");
-#endif
-
 void ExecStats::Merge(const ExecStats& other) {
-  rows_hashed += other.rows_hashed;
-  rows_partitioned += other.rows_partitioned;
-  tables_flushed += other.tables_flushed;
-  switches_to_partition += other.switches_to_partition;
-  switches_to_hash += other.switches_to_hash;
-  final_hash_passes += other.final_hash_passes;
-  distinct_shortcut_runs += other.distinct_shortcut_runs;
-  fallback_buckets += other.fallback_buckets;
-  passes += other.passes;
-  morsels += other.morsels;
-  chunks_allocated += other.chunks_allocated;
-  chunks_recycled += other.chunks_recycled;
-  mem_peak_bytes = std::max(mem_peak_bytes, other.mem_peak_bytes);
-  spilled_bytes += other.spilled_bytes;
-  spill_read_bytes += other.spill_read_bytes;
-  spill_files += other.spill_files;
-  max_level = std::max(max_level, other.max_level);
-  sum_alpha += other.sum_alpha;
-  num_alpha += other.num_alpha;
+  // The merge rules of CEA_EXEC_STATS_FIELDS.
+  auto Sum = [](auto a, auto b) { return a + b; };
+  auto Max = [](auto a, auto b) { return std::max(a, b); };
+#define CEA_MERGE_FIELD(type, name, merge, node, counter, unit) \
+  name = merge(name, other.name);
+  CEA_EXEC_STATS_FIELDS(CEA_MERGE_FIELD)
+#undef CEA_MERGE_FIELD
   for (size_t l = 0; l < rows_hashed_at_level.size(); ++l) {
     rows_hashed_at_level[l] += other.rows_hashed_at_level[l];
     rows_partitioned_at_level[l] += other.rows_partitioned_at_level[l];

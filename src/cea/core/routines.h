@@ -56,39 +56,53 @@ struct Morsel {
 Morsel InputMorsel(const InputTable& input, const StateLayout& layout,
                    size_t off, size_t n);
 
+// The one declaration of ExecStats' scalar fields: the members, Merge, the
+// scalar keys of ExecStatsToJson and the ExecStats counters of the runtime
+// profile (AggregationOperator::FillProfile) are generated from it, in list
+// order, so a new counter is one entry plus the code that counts it. Each
+// entry is X(type, name, merge, node, counter, unit): `merge` (Sum or Max)
+// folds another worker's value in and is the profile counter's MergeOp;
+// `node` and `counter` name the profile child and counter (nullptr: not in
+// the profile; fields of an absent node, spill without a spill directory,
+// are skipped); `unit` is the counter's RuntimeProfile::Unit. The list is
+// in profile order, which tools/check_profile_golden.py pins.
+//
+// morsels counts PassContext::ProcessMorsel calls; per worker it is the
+// work-distribution signal of the profile's worker nodes. The chunk counts
+// (fresh OS memory vs. recycled from the pool) and mem_peak_bytes are
+// process-wide ChunkPool/MemoryBudget deltas the operator captures per
+// execution. The spill fields are the logical run bytes written to and
+// read back from the spill file, and 1 when the execution spilled, with a
+// new or a reused file; all zero when nothing spilled.
+#define CEA_EXEC_STATS_FIELDS(X)                                                          \
+  X(uint64_t, rows_hashed,            Sum, nullptr,    nullptr,                  Rows)   \
+  X(uint64_t, rows_partitioned,       Sum, nullptr,    nullptr,                  Rows)   \
+  X(double,   sum_alpha,              Sum, nullptr,    nullptr,                  Double) \
+  X(uint64_t, num_alpha,              Sum, "strategy", "alpha_samples",          None)   \
+  X(uint64_t, switches_to_partition,  Sum, "strategy", "switches_to_partition",  None)   \
+  X(uint64_t, switches_to_hash,       Sum, "strategy", "switches_to_hash",       None)   \
+  X(uint64_t, final_hash_passes,      Sum, "strategy", "final_hash_passes",      None)   \
+  X(uint64_t, distinct_shortcut_runs, Sum, "strategy", "distinct_shortcut_runs", None)   \
+  X(uint64_t, fallback_buckets,       Sum, "strategy", "fallback_buckets",       None)   \
+  X(uint64_t, passes,                 Sum, "passes",   "passes",                 None)   \
+  X(uint64_t, morsels,                Sum, "passes",   "morsels",                None)   \
+  X(uint64_t, tables_flushed,         Sum, "passes",   "tables_flushed",         None)   \
+  X(uint64_t, mem_peak_bytes,         Max, "memory",   "peak_bytes",             Bytes)  \
+  X(uint64_t, chunks_allocated,       Sum, "memory",   "chunks_fresh",           None)   \
+  X(uint64_t, chunks_recycled,        Sum, "memory",   "chunks_recycled",        None)   \
+  X(uint64_t, spilled_bytes,          Sum, "spill",    "spilled_bytes",          Bytes)  \
+  X(uint64_t, spill_read_bytes,       Sum, "spill",    "read_bytes",             Bytes)  \
+  X(uint64_t, spill_files,            Sum, "spill",    "files",                  None)   \
+  X(int,      max_level,              Max, nullptr,    nullptr,                  None)
+
 // Execution telemetry, kept per worker and merged by the operator. The
 // per-level breakdowns drive the Figure 4/5 pass-breakdown benches; the
 // alpha statistics drive Figure 10.
 struct ExecStats {
-  uint64_t rows_hashed = 0;
-  uint64_t rows_partitioned = 0;
-  uint64_t tables_flushed = 0;
-  uint64_t switches_to_partition = 0;
-  uint64_t switches_to_hash = 0;
-  uint64_t final_hash_passes = 0;
-  uint64_t distinct_shortcut_runs = 0;
-  uint64_t fallback_buckets = 0;
-  uint64_t passes = 0;
-  // Morsels consumed by PassContext::ProcessMorsel — with per-worker stats
-  // this is the work-distribution signal the profile's worker nodes report.
-  uint64_t morsels = 0;
-  // Run-store memory telemetry (process-wide ChunkPool/MemoryBudget deltas
-  // captured by the operator per execution): chunks served from fresh OS
-  // memory vs. recycled from the pool, and the peak accounted bytes.
-  uint64_t chunks_allocated = 0;
-  uint64_t chunks_recycled = 0;
-  uint64_t mem_peak_bytes = 0;
-  // Spill telemetry (logical run bytes written to / read back from the
-  // spill file, and 1 when the execution spilled, whether its file is new
-  // or reused; zero when spilling is disabled or the budget never tripped
-  // the threshold).
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_read_bytes = 0;
-  uint64_t spill_files = 0;
-  int max_level = 0;
-
-  double sum_alpha = 0;
-  uint64_t num_alpha = 0;
+#define CEA_EXEC_STATS_MEMBER(type, name, merge, node, counter, unit) \
+  type name = 0;
+  CEA_EXEC_STATS_FIELDS(CEA_EXEC_STATS_MEMBER)
+#undef CEA_EXEC_STATS_MEMBER
 
   std::array<uint64_t, kMaxRadixLevel + 1> rows_hashed_at_level{};
   std::array<uint64_t, kMaxRadixLevel + 1> rows_partitioned_at_level{};

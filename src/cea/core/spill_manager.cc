@@ -223,7 +223,7 @@ Status SpillManager::ReadSegment(const Segment& seg, char* buf,
       Status c = control_->Check();
       if (!c.ok()) return c;
     }
-    // The segment starts on a block and Align padded its tail, so whole
+    // The segment starts on a block and Pad padded its tail, so whole
     // blocks from here stay inside it.
     const size_t n =
         static_cast<size_t>(std::min<uint64_t>(window_words, words - word));

@@ -22,6 +22,11 @@ void Appendf(std::string* out, const char* fmt, ...) {
   if (n > 0) out->append(buf, std::min<size_t>(n, sizeof(buf) - 1));
 }
 
+// The JSON value of an ExecStats field, by the field's type.
+void WriteValue(obs::JsonWriter& w, uint64_t v) { w.Uint(v); }
+void WriteValue(obs::JsonWriter& w, int v) { w.Int(v); }
+void WriteValue(obs::JsonWriter& w, double v) { w.Double(v); }
+
 }  // namespace
 
 std::string FormatExecStats(const ExecStats& stats) {
@@ -71,25 +76,10 @@ std::string FormatExecStats(const ExecStats& stats) {
 std::string ExecStatsToJson(const ExecStats& stats) {
   obs::JsonWriter w;
   w.BeginObject();
-  w.Key("rows_hashed").Uint(stats.rows_hashed);
-  w.Key("rows_partitioned").Uint(stats.rows_partitioned);
-  w.Key("tables_flushed").Uint(stats.tables_flushed);
-  w.Key("switches_to_partition").Uint(stats.switches_to_partition);
-  w.Key("switches_to_hash").Uint(stats.switches_to_hash);
-  w.Key("final_hash_passes").Uint(stats.final_hash_passes);
-  w.Key("distinct_shortcut_runs").Uint(stats.distinct_shortcut_runs);
-  w.Key("fallback_buckets").Uint(stats.fallback_buckets);
-  w.Key("passes").Uint(stats.passes);
-  w.Key("morsels").Uint(stats.morsels);
-  w.Key("chunks_allocated").Uint(stats.chunks_allocated);
-  w.Key("chunks_recycled").Uint(stats.chunks_recycled);
-  w.Key("mem_peak_bytes").Uint(stats.mem_peak_bytes);
-  w.Key("spilled_bytes").Uint(stats.spilled_bytes);
-  w.Key("spill_read_bytes").Uint(stats.spill_read_bytes);
-  w.Key("spill_files").Uint(stats.spill_files);
-  w.Key("max_level").Int(stats.max_level);
-  w.Key("sum_alpha").Double(stats.sum_alpha);
-  w.Key("num_alpha").Uint(stats.num_alpha);
+#define CEA_JSON_FIELD(type, name, merge, node, counter, unit) \
+  WriteValue(w.Key(#name), stats.name);
+  CEA_EXEC_STATS_FIELDS(CEA_JSON_FIELD)
+#undef CEA_JSON_FIELD
   w.Key("mean_alpha").Double(stats.mean_alpha());
   w.Key("levels").BeginArray();
   for (int l = 0; l <= stats.max_level &&

@@ -189,14 +189,6 @@ Status SpillFile::Pad() {
   return Status::Ok();
 }
 
-Status SpillFile::Align() {
-  Status s = FinishWrites();
-  if (!s.ok()) return s;
-  logical_size_ = disk_offset_;
-  segment_end_ = logical_size_;
-  return Status::Ok();
-}
-
 void SpillFile::AbandonTail() {
   if (fd_ < 0) return;
   logical_size_ = segment_end_;

@@ -13,8 +13,8 @@
 //    stream_store.h at page granularity: spilling a run should stream at
 //    device bandwidth, not bounce through the page cache line by line.
 //    Pad ends a segment inside the buffer, so many small segments share
-//    one write; FinishWrites and Align put the staged bytes on disk
-//    early. O_DIRECT is attempted first and silently dropped when the
+//    one write; FinishWrites puts the staged bytes on disk early.
+//    O_DIRECT is attempted first and silently dropped when the
 //    filesystem does not support it (tmpfs, some network filesystems);
 //    the aligned block discipline is kept either way.
 //  * Rewind restarts the stream at offset 0 and keeps the descriptor, so
@@ -26,7 +26,7 @@
 //
 // Not thread-safe, with one exception: ReadBlocks touches no staging
 // state, so it may run concurrently with other ReadBlocks calls and with
-// an Append/Pad/Align writing past the range it reads. Callers
+// an Append/Pad/FinishWrites writing past the range it reads. Callers
 // (SpillManager) serialize every other call per file.
 
 #ifndef CEA_MEM_SPILL_FILE_H_
@@ -89,13 +89,8 @@ class SpillFile {
   // end (FinishWrites flushes). Idempotent.
   Status Pad();
 
-  // Like Pad, but also writes the staged bytes: the segment is on disk
-  // when Align returns, so reads and appends can interleave at segment
-  // granularity. Idempotent.
-  Status Align();
-
   // Rolls the stream back to the end of the last complete segment (the
-  // last Pad or Align) and discards everything appended since, staged or
+  // last Pad) and discards everything appended since, staged or
   // already written. Cannot fail. Used on exception unwind mid-append:
   // earlier segments, staged or on disk, stay intact, the next Append
   // starts where the abandoned segment did, and Append/Pad/ReadAt all
@@ -110,7 +105,7 @@ class SpillFile {
 
   // Reads `bytes` logical bytes at `offset` into `dst` (any alignment),
   // bouncing through the aligned staging buffer. Only valid while no
-  // bytes are staged (after FinishWrites or Align); interleaving with a
+  // bytes are staged (after FinishWrites); interleaving with a
   // partially staged Append is not supported.
   Status ReadAt(uint64_t offset, void* dst, size_t bytes);
 
@@ -138,7 +133,7 @@ class SpillFile {
   bool direct_ = false;
   uint64_t logical_size_ = 0;  // bytes the caller appended
   uint64_t disk_offset_ = 0;   // aligned bytes actually written to disk
-  uint64_t segment_end_ = 0;   // logical size at the last Pad or Align
+  uint64_t segment_end_ = 0;   // logical size at the last Pad
   size_t staged_ = 0;          // bytes pending in buf_
   char* buf_ = nullptr;        // kAlign-aligned, kBufBytes staging buffer
 };

@@ -118,8 +118,9 @@ TEST(SpillFile, ReadBlocksConcurrentWithAppend) {
   SpillFile f;
   ASSERT_TRUE(f.Create(SpillDir()).ok());
 
-  // Segments as SpillManager lays them out: each starts on a block and is
-  // padded by Align. Sizes straddle blocks and the 1 MiB staging buffer.
+  // Segments as SpillManager lays them out and flushes them: each starts
+  // on a block, is padded by Pad and goes to disk with FinishWrites before
+  // readers see it. Sizes straddle blocks and the 1 MiB staging buffer.
   struct Extent {
     uint64_t offset = 0;
     size_t bytes = 0;
@@ -135,7 +136,8 @@ TEST(SpillFile, ReadBlocksConcurrentWithAppend) {
     extents[seg].offset = f.size();
     extents[seg].bytes = bytes;
     ASSERT_TRUE(f.Append(payload.data(), bytes).ok());
-    ASSERT_TRUE(f.Align().ok());
+    ASSERT_TRUE(f.Pad().ok());
+    ASSERT_TRUE(f.FinishWrites().ok());
   };
   for (size_t seg = 0; seg < kInitial; ++seg) write_segment(seg);
 

@@ -159,24 +159,69 @@ TEST(ExecStatsToJson, ValidJsonWithAllFields) {
   s.rows_hashed = 100;
   s.rows_partitioned = 50;
   s.tables_flushed = 3;
+  s.switches_to_partition = 11;
+  s.switches_to_hash = 12;
+  s.final_hash_passes = 13;
+  s.distinct_shortcut_runs = 14;
+  s.fallback_buckets = 15;
   s.passes = 2;
-  s.sum_alpha = 8.0;
-  s.num_alpha = 2;
+  s.morsels = 16;
+  s.chunks_allocated = 7;
+  s.chunks_recycled = 9;
+  s.mem_peak_bytes = 4096;
+  s.spilled_bytes = 8192;
+  s.spill_read_bytes = 12288;
+  s.spill_files = 1;
   s.max_level = 1;
+  s.sum_alpha = 8.5;
+  s.num_alpha = 2;
   s.rows_hashed_at_level[0] = 100;
   s.rows_hashed_at_level[1] = 30;
   s.rows_partitioned_at_level[0] = 50;
   s.seconds_at_level[1] = 0.125;
-  s.chunks_allocated = 7;
-  s.chunks_recycled = 9;
-  s.mem_peak_bytes = 4096;
   std::string json = ExecStatsToJson(s);
   EXPECT_TRUE(obs::JsonLooksValid(json)) << json;
-  EXPECT_NE(json.find("\"rows_hashed\":100"), std::string::npos);
-  EXPECT_NE(json.find("\"mean_alpha\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"chunks_allocated\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"chunks_recycled\":9"), std::string::npos);
-  EXPECT_NE(json.find("\"mem_peak_bytes\":4096"), std::string::npos);
+
+  // Every top-level key with its value. The scalars precede "levels", whose
+  // entries reuse the rows_* names, so they are looked up before it; the
+  // trailing comma pins the whole value.
+  const size_t levels = json.find("\"levels\":[");
+  ASSERT_NE(levels, std::string::npos) << json;
+  const std::string scalars = json.substr(0, levels);
+  const std::vector<std::string> want = {
+      "\"rows_hashed\":100,",
+      "\"rows_partitioned\":50,",
+      "\"tables_flushed\":3,",
+      "\"switches_to_partition\":11,",
+      "\"switches_to_hash\":12,",
+      "\"final_hash_passes\":13,",
+      "\"distinct_shortcut_runs\":14,",
+      "\"fallback_buckets\":15,",
+      "\"passes\":2,",
+      "\"morsels\":16,",
+      "\"chunks_allocated\":7,",
+      "\"chunks_recycled\":9,",
+      "\"mem_peak_bytes\":4096,",
+      "\"spilled_bytes\":8192,",
+      "\"spill_read_bytes\":12288,",
+      "\"spill_files\":1,",
+      "\"max_level\":1,",
+      "\"sum_alpha\":8.5,",
+      "\"num_alpha\":2,",
+      "\"mean_alpha\":4.25,",
+  };
+  for (const std::string& key_value : want) {
+    EXPECT_NE(scalars.find(key_value), std::string::npos)
+        << key_value << " in " << json;
+  }
+  // No other key: each scalar is one "key": pair, and "levels" is last.
+  size_t keys = 0;
+  for (size_t pos = scalars.find("\":"); pos != std::string::npos;
+       pos = scalars.find("\":", pos + 1)) {
+    ++keys;
+  }
+  EXPECT_EQ(keys, want.size()) << json;
+  EXPECT_EQ(json.substr(json.size() - 2), "]}") << json;
   // One levels entry per level up to max_level.
   EXPECT_NE(json.find("\"level\":0"), std::string::npos);
   EXPECT_NE(json.find("\"level\":1"), std::string::npos);

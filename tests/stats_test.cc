@@ -163,11 +163,11 @@ TEST(Stats, EmptyStatsMeanAlphaIsZero) {
   EXPECT_EQ(s.mean_alpha(), 0.0);
 }
 
-// Drift guard, part 2 (part 1 is the sizeof static_assert next to
-// Merge()): populate EVERY field of two ExecStats with distinct non-zero
-// values and verify the merge accumulates each one. A field added to the
-// struct but forgotten in Merge() trips the static_assert; a field added
-// to both but merged wrongly trips this test.
+// Populate EVERY field of two ExecStats with distinct non-zero values and
+// verify the merge accumulates each one. The struct and Merge() both come
+// from CEA_EXEC_STATS_FIELDS, so they cannot drift apart; these
+// hand-written expectations are the independent check of each field's
+// merge rule in that list.
 TEST(Stats, MergeAccumulatesEveryField) {
   auto fill = [](uint64_t base) {
     ExecStats s;

@@ -13,8 +13,10 @@
 //   --n, --k, --dist, --seed      synthetic input shape (Section 6.5 names)
 //   --keys_file=PATH              read keys from file instead of generating
 //   --aggs=LIST                   comma list of fn[:value_col]; fns: count,
-//                                 sum, min, max, avg. Value columns are
-//                                 generated (uniform < 2^20).
+//                                 sum, min, max, avg; value_col is decimal
+//                                 digits (default 0; count ignores it).
+//                                 Each referenced value column is generated
+//                                 (uniform < 2^20, seed 1000 + value_col).
 //   --threads, --table_bytes, --policy=adaptive|hashing|partition
 //   --passes (for partition), --alpha0, --c, --k_hint
 //   --deadline_ms=N               fail the query with kDeadlineExceeded if
@@ -58,8 +60,10 @@
 // Any other flag is a usage error (exit 2), and so is a count that must be
 // positive (--k, --threads, --passes, --deadline_ms, --mem_budget_mb,
 // --metrics_period_ms) given as zero or negative, a size that may be zero
-// (--n, --table_bytes, --k_hint, --c, --csv_rows) given as negative, and
-// an --alpha0 that is not a finite number >= 0.
+// (--n, --table_bytes, --k_hint, --c, --csv_rows) given as negative, an
+// --alpha0 that is not a finite number >= 0, an --aggs item with an unknown
+// function or a column that is not decimal digits, and a --stats value
+// other than bare --stats or --stats=json.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -69,6 +73,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -84,9 +89,11 @@
 
 namespace {
 
+// Parses --aggs, a comma list of fn[:col] items. `col` is decimal digits
+// only and defaults to 0; COUNT ignores it. An unknown function or any
+// other column text is a usage error.
 bool ParseAggs(const std::string& spec_list,
-               std::vector<cea::AggregateSpec>* specs, int* max_col) {
-  *max_col = -1;
+               std::vector<cea::AggregateSpec>* specs) {
   if (spec_list.empty()) return true;  // pure DISTINCT
   size_t pos = 0;
   while (pos < spec_list.size()) {
@@ -100,7 +107,17 @@ bool ParseAggs(const std::string& spec_list,
     size_t colon = item.find(':');
     if (colon != std::string::npos) {
       fn_name = item.substr(0, colon);
-      col = std::atoi(item.c_str() + colon + 1);
+      const std::string digits = item.substr(colon + 1);
+      // Up to 9 digits, so the column cannot overflow an int.
+      if (digits.empty() || digits.size() > 9 ||
+          digits.find_first_not_of("0123456789") != std::string::npos) {
+        std::fprintf(stderr,
+                     "usage error: --aggs item '%s' (the column must be a "
+                     "non-negative integer below 10^9)\n",
+                     item.c_str());
+        return false;
+      }
+      col = std::stoi(digits);
     }
     cea::AggFn fn;
     if (fn_name == "count") {
@@ -115,10 +132,12 @@ bool ParseAggs(const std::string& spec_list,
     } else if (fn_name == "avg") {
       fn = cea::AggFn::kAvg;
     } else {
-      std::fprintf(stderr, "unknown aggregate '%s'\n", fn_name.c_str());
+      std::fprintf(stderr,
+                   "usage error: --aggs: unknown aggregate '%s' (count, sum, "
+                   "min, max, avg)\n",
+                   fn_name.c_str());
       return false;
     }
-    if (cea::NeedsInput(fn) && col > *max_col) *max_col = col;
     specs->push_back({fn, col});
   }
   return true;
@@ -193,6 +212,18 @@ int main(int argc, char** argv) {
                    v.c_str());
       return 2;
     }
+  }
+
+  std::vector<cea::AggregateSpec> specs;
+  if (!ParseAggs(flags.GetString("aggs", "count"), &specs)) return 2;
+  // Bare --stats reads as "1"; any other value would silently fall back to
+  // the text summary.
+  const std::string stats_mode = flags.GetString("stats", "");
+  if (flags.Has("stats") && stats_mode != "1" && stats_mode != "json") {
+    std::fprintf(stderr,
+                 "usage error: --stats=%s (use --stats or --stats=json)\n",
+                 stats_mode.c_str());
+    return 2;
   }
 
   // Spill flags. Each failure mode gets its own message: a silently
@@ -279,15 +310,19 @@ int main(int argc, char** argv) {
     keys = cea::GenerateKeys(gp);
   }
 
-  // Aggregates and value columns.
-  std::vector<cea::AggregateSpec> specs;
-  int max_col = -1;
-  if (!ParseAggs(flags.GetString("aggs", "count"), &specs, &max_col)) {
-    return 1;
-  }
+  // Value columns: only those the aggregates reference, column c from seed
+  // 1000 + c, numbered densely in order of first use.
+  std::map<int, int> slot_of;  // referenced column -> index in `values`
   std::vector<cea::Column> values;
-  for (int c = 0; c <= max_col; ++c) {
-    values.push_back(cea::GenerateValues(keys.size(), 1000 + c));
+  for (cea::AggregateSpec& spec : specs) {
+    if (!cea::NeedsInput(spec.fn)) continue;
+    auto [it, fresh] = slot_of.emplace(spec.input_column,
+                                       static_cast<int>(values.size()));
+    if (fresh) {
+      values.push_back(
+          cea::GenerateValues(keys.size(), 1000 + spec.input_column));
+    }
+    spec.input_column = it->second;
   }
 
   // Run-store memory knobs (process-wide, set before the operator runs).
@@ -330,7 +365,7 @@ int main(int argc, char** argv) {
   // Observability: --trace needs spans, --stats=json benefits from
   // counters, --profile needs the runtime profile; any of them attaches
   // the context.
-  const bool stats_json = flags.GetString("stats", "") == "json";
+  const bool stats_json = stats_mode == "json";
   const std::string trace_path = flags.GetString("trace", "");
   const bool want_profile = flags.Has("profile");
   cea::obs::ObsContext obs(cea::obs::ObsContext::Options{
