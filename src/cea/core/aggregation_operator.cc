@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <string>
 #include <type_traits>
 
@@ -174,8 +175,6 @@ void AggregationOperator::ResetExecutionState() {
   }
   for (auto& f : worker_finals_) f.clear();
   for (auto& s : worker_stats_) s = ExecStats{};
-  shortcut_finals_.clear();
-  shortcut_stats_ = ExecStats{};
   num_passes_.store(0, std::memory_order_relaxed);
   num_exact_.store(0, std::memory_order_relaxed);
   // An aborted previous execution may have left counter intervals
@@ -204,7 +203,6 @@ Status AggregationOperator::CollectResult(ResultTable* result,
   if (!assembled.ok()) return assembled;
   ExecStats merged;
   for (const ExecStats& s : worker_stats_) merged.Merge(s);
-  merged.Merge(shortcut_stats_);
   merged.passes = num_passes_.load(std::memory_order_relaxed);
   ChunkPool::Stats pool = ChunkPool::Global().GetStats();
   merged.chunks_allocated = pool.fresh_chunks - pool_stats_base_.fresh_chunks;
@@ -569,7 +567,7 @@ void AggregationOperator::RunPassWorker(const std::shared_ptr<Pass>& pass,
           .count();
   if (!stream &&
       pass->active_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    CompletePass(pass);
+    CompletePass(pass, worker_id);
   }
 }
 
@@ -611,7 +609,7 @@ void AggregationOperator::FinishStreamWorker(const std::shared_ptr<Pass>& pass,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   if (pass->active_workers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    CompletePass(pass);
+    CompletePass(pass, worker_id);
   }
 }
 
@@ -623,7 +621,8 @@ bool AggregationOperator::FinalizeContext(const Pass& pass, PassContext* ctx,
   return true;
 }
 
-void AggregationOperator::CompletePass(const std::shared_ptr<Pass>& pass) {
+void AggregationOperator::CompletePass(const std::shared_ptr<Pass>& pass,
+                                       int worker_id) {
   // Gather the per-worker runs of each partition into child buckets and
   // recurse. Runs management is the only synchronized step (Section 3.2)
   // and happens once per pass.
@@ -635,13 +634,14 @@ void AggregationOperator::CompletePass(const std::shared_ptr<Pass>& pass) {
     }
     // Even an empty child must be dispatched: mid-pass spilling may have
     // moved all of partition p's rows to its spill stream already.
-    DispatchBucket(pass->id, p, std::move(child), pass->level + 1);
+    DispatchBucket(worker_id, pass->id, p, std::move(child), pass->level + 1);
   }
   pass->contexts.clear();
   pass->source.clear();  // release the parent level's run memory
 }
 
-void AggregationOperator::DispatchBucket(uint64_t parent_pass_id, uint32_t p,
+void AggregationOperator::DispatchBucket(int worker_id,
+                                         uint64_t parent_pass_id, uint32_t p,
                                          Bucket child, int level) {
   if (spill_manager_ != nullptr) {
     const uint64_t key = SpillManager::PartitionKey(parent_pass_id, p);
@@ -659,7 +659,7 @@ void AggregationOperator::DispatchBucket(uint64_t parent_pass_id, uint32_t p,
       return;
     }
   }
-  if (!child.empty()) ScheduleBucket(std::move(child), level);
+  if (!child.empty()) ScheduleBucket(worker_id, std::move(child), level);
 }
 
 Status AggregationOperator::DrainSpilledBuckets() {
@@ -681,7 +681,7 @@ Status AggregationOperator::DrainSpilledBuckets() {
         }
         Bucket bucket;
         bucket.push_back(std::move(run));
-        ScheduleBucket(std::move(bucket), desc.level);
+        ScheduleBucket(worker_id, std::move(bucket), desc.level);
       });
     }
     Status e = scheduler_->WaitGroup(group_.get());
@@ -689,7 +689,8 @@ Status AggregationOperator::DrainSpilledBuckets() {
   }
 }
 
-void AggregationOperator::ScheduleBucket(Bucket bucket, int level) {
+void AggregationOperator::ScheduleBucket(int worker_id, Bucket bucket,
+                                         int level) {
   // Bucket-schedule cancellation boundary: a fired token stops the
   // recursion from fanning out further work. Callers are worker tasks
   // (CompletePass, a restore), so the StatusError lands in the
@@ -697,18 +698,9 @@ void AggregationOperator::ScheduleBucket(Bucket bucket, int level) {
   control_.ThrowIfCancelled();
   if (bucket.size() == 1 && bucket[0].distinct) {
     // A single fully-aggregated run with unique keys is final output; the
-    // recursion stops (Section 3.1). Under latched pressure it moves to
-    // the spill manager's final-output stream instead of pinning chunks
-    // until assembly.
-    if (spill_manager_ != nullptr && spill_manager_->ShouldSpill()) {
-      spill_manager_->SpillRun(SpillManager::kFinalKey, &bucket[0]);
-      std::lock_guard<std::mutex> lock(shortcut_mutex_);
-      shortcut_stats_.distinct_shortcut_runs += 1;
-      return;
-    }
-    std::lock_guard<std::mutex> lock(shortcut_mutex_);
-    shortcut_stats_.distinct_shortcut_runs += 1;
-    shortcut_finals_.push_back(std::move(bucket[0]));
+    // recursion stops (Section 3.1).
+    worker_stats_[worker_id].distinct_shortcut_runs += 1;
+    EmitFinal(worker_id, std::move(bucket[0]));
     return;
   }
   if (level >= kMaxRadixLevel || level == policy_->FinalGrowableLevel()) {
@@ -790,10 +782,6 @@ Status AggregationOperator::AssembleResult(ResultTable* result) {
       finals.push_back(&r);
       total += r.size();
     }
-  }
-  for (const Run& r : shortcut_finals_) {
-    finals.push_back(&r);
-    total += r.size();
   }
   // Final runs evacuated to disk under pressure: their segments hold
   // disjoint group sets, so they are streamed straight into the result

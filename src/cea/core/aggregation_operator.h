@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "cea/columnar/aggregate_function.h"
@@ -197,13 +196,16 @@ class AggregationOperator {
   // (Re)builds the per-worker resources when the key width changes
   // between Execute calls.
   void EnsureResources(int key_words);
-  void ScheduleBucket(Bucket bucket, int level);
+  // Recurses on a bucket from a task on worker `worker_id`: a lone
+  // distinct run is final output (EmitFinal), anything else becomes a
+  // pass or an exact task.
+  void ScheduleBucket(int worker_id, Bucket bucket, int level);
   // Routes a completed pass's child bucket: schedules it in memory, or —
   // when its partition already spilled, or the budget is under pressure —
   // moves the in-memory runs to the partition's spill stream and queues
   // the bucket for the restore phase.
-  void DispatchBucket(uint64_t parent_pass_id, uint32_t p, Bucket child,
-                      int level);
+  void DispatchBucket(int worker_id, uint64_t parent_pass_id, uint32_t p,
+                      Bucket child, int level);
   // Restores queued spilled buckets in waves of up to one bucket per
   // worker, bounded by the budget's free room (SpillManager::TakeWave):
   // each bucket is restored (traced as a "restore" span) and scheduled by
@@ -220,7 +222,7 @@ class AggregationOperator {
   // Ends `ctx`'s part of `pass`; true when it hashed the whole pass
   // without flushing and its table went out as final output.
   bool FinalizeContext(const Pass& pass, PassContext* ctx, int worker_id);
-  void CompletePass(const std::shared_ptr<Pass>& pass);
+  void CompletePass(const std::shared_ptr<Pass>& pass, int worker_id);
   void ScheduleExact(std::vector<Morsel> morsels, Bucket source, int level);
   // Retains a fully aggregated run for result assembly. Normally it waits
   // in worker_finals_; under latched memory pressure it is evacuated to
@@ -261,9 +263,6 @@ class AggregationOperator {
   std::vector<ExecStats> worker_stats_;                      // per worker
   std::vector<std::vector<Run>> worker_finals_;              // per worker
 
-  std::mutex shortcut_mutex_;
-  std::vector<Run> shortcut_finals_;
-  ExecStats shortcut_stats_;
   std::atomic<uint64_t> num_passes_{0};
   std::atomic<uint64_t> num_exact_{0};  // ids for "exact" trace spans
 

@@ -1,19 +1,22 @@
-// Cooperative query cancellation and deadlines.
+// Cooperative query cancellation and per-execution deadlines.
 //
 // A CancellationSource is owned by whoever controls a query's lifetime (a
 // client thread, an admission layer, a test); CancellationToken is the
-// cheap shared handle the execution layer polls. Cancellation is purely
-// cooperative: nothing is interrupted preemptively. The operator checks the
-// token at morsel and SWC-flush boundaries inside a pass and at
-// bucket-schedule points between passes, so a cancelled or deadline-expired
-// query unwinds through the scheduler's existing Status error path within
-// about one morsel's worth of work per worker, leaving the operator
-// reusable.
+// cheap shared handle the execution layer polls. A token carries only
+// explicit cancellation. The deadline belongs to one execution: the
+// operator's QueryControl derives it from AggregationOptions::deadline
+// when an Execute or a stream starts. Cancellation is purely cooperative:
+// nothing is interrupted preemptively. The operator checks its
+// QueryControl at morsel and SWC-flush boundaries inside a pass and at
+// bucket-schedule points between passes, so a cancelled or
+// deadline-expired query unwinds through the scheduler's existing Status
+// error path within about one morsel's worth of work per worker, leaving
+// the operator reusable.
 //
-// Cost model: an unarmed check is one pointer test; an armed check is one
-// relaxed atomic load, plus a steady_clock read only when a deadline is
-// set. Checks run at morsel (tens of thousands of rows) granularity, never
-// per row.
+// Cost model: an unarmed check is one flag test; an armed check is one
+// acquire load of the token's flag, plus a steady_clock read only when
+// the execution has a deadline. Checks run at morsel (tens of thousands of
+// rows) granularity, never per row.
 
 #ifndef CEA_EXEC_CANCELLATION_H_
 #define CEA_EXEC_CANCELLATION_H_
@@ -35,8 +38,6 @@ namespace detail {
 
 struct CancelState {
   std::atomic<bool> cancelled{false};
-  // Absolute steady-clock deadline in ns since epoch; kNoDeadline = none.
-  std::atomic<int64_t> deadline_ns{std::numeric_limits<int64_t>::max()};
   std::mutex mutex;      // guards `reason` (written once, before the flag)
   std::string reason;
 };
@@ -45,8 +46,8 @@ struct CancelState {
 
 inline constexpr int64_t kNoDeadlineNs = std::numeric_limits<int64_t>::max();
 
-// Steady-clock now in ns since the clock's epoch, comparable with the
-// deadline values stored in CancelState.
+// Steady-clock now in ns since the clock's epoch, comparable with
+// QueryControl's deadline.
 inline int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -54,42 +55,24 @@ inline int64_t SteadyNowNs() {
 }
 
 // Copyable, cheap handle to a CancellationSource. A default-constructed
-// token is "null": never cancelled, never expires, one pointer test per
-// check.
+// token is "null": never cancelled, one pointer test per check.
 class CancellationToken {
  public:
   CancellationToken() = default;
 
   bool valid() const { return state_ != nullptr; }
 
-  // True once Cancel() was called or the deadline passed.
+  // True once Cancel() was called.
   bool cancelled() const {
-    if (state_ == nullptr) return false;
-    if (state_->cancelled.load(std::memory_order_acquire)) return true;
-    int64_t d = state_->deadline_ns.load(std::memory_order_relaxed);
-    return d != kNoDeadlineNs && SteadyNowNs() >= d;
+    return state_ != nullptr &&
+           state_->cancelled.load(std::memory_order_acquire);
   }
 
-  // Ok, or the typed reason the query must stop: kCancelled with the
-  // Cancel() reason, or kDeadlineExceeded. Explicit cancellation wins over
-  // a simultaneously expired deadline.
+  // Ok, or kCancelled with the Cancel() reason.
   Status status() const {
-    if (state_ == nullptr) return Status::Ok();
-    if (state_->cancelled.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(state_->mutex);
-      return Status::Cancelled(state_->reason);
-    }
-    int64_t d = state_->deadline_ns.load(std::memory_order_relaxed);
-    if (d != kNoDeadlineNs && SteadyNowNs() >= d) {
-      return Status::DeadlineExceeded("query deadline exceeded");
-    }
-    return Status::Ok();
-  }
-
-  int64_t deadline_ns() const {
-    return state_ == nullptr
-               ? kNoDeadlineNs
-               : state_->deadline_ns.load(std::memory_order_relaxed);
+    if (!cancelled()) return Status::Ok();
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    return Status::Cancelled(state_->reason);
   }
 
  private:
@@ -117,23 +100,6 @@ class CancellationSource {
     state_->cancelled.store(true, std::memory_order_release);
   }
 
-  void SetDeadline(std::chrono::steady_clock::time_point tp) {
-    state_->deadline_ns.store(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            tp.time_since_epoch())
-            .count(),
-        std::memory_order_relaxed);
-  }
-
-  // Deadline `budget` from now; non-positive budgets clear the deadline.
-  void SetTimeout(std::chrono::nanoseconds budget) {
-    state_->deadline_ns.store(
-        budget.count() > 0 ? SteadyNowNs() + budget.count() : kNoDeadlineNs,
-        std::memory_order_relaxed);
-  }
-
-  bool cancelled() const { return CancellationToken(state_).cancelled(); }
-
  private:
   std::shared_ptr<detail::CancelState> state_;
 };
@@ -141,9 +107,9 @@ class CancellationSource {
 // Per-execution cancellation view: the caller's external token plus the
 // absolute deadline derived from AggregationOptions::deadline at
 // Execute/BeginStream time. The operator owns one and hands a pointer to
-// every pass context and exact-fallback task; the deadline lives here (not
-// in the token) so one external token can fan out to queries with
-// different time budgets.
+// every pass context and exact-fallback task. This is the only deadline:
+// it lives here, not in the token, so one external token can fan out to
+// queries with different time budgets.
 class QueryControl {
  public:
   // Arms the control for one execution window. `budget` <= 0 means no
@@ -160,14 +126,6 @@ class QueryControl {
     token_ = CancellationToken();
     deadline_ns_ = kNoDeadlineNs;
     armed_ = false;
-  }
-
-  bool armed() const { return armed_; }
-
-  bool cancelled() const {
-    if (!armed_) return false;
-    if (token_.cancelled()) return true;
-    return deadline_ns_ != kNoDeadlineNs && SteadyNowNs() >= deadline_ns_;
   }
 
   // Ok, or the typed Status that must unwind this query.

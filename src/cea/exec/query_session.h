@@ -123,11 +123,14 @@ class QuerySession {
   // Blocks (FIFO) until `bytes` fit under the capacity and a concurrency
   // slot is free, then fills *grant. Returns kResourceExhausted without
   // queueing when the request can never fit or the wait queue is full;
-  // returns the token's status when a queued caller is cancelled or runs
-  // past its deadline while waiting. A `spillable` query (one running with
-  // a spill directory configured) reserves only
-  // `options.spillable_fraction * bytes` — it sheds the rest to disk under
-  // pressure instead of holding capacity hostage to its worst case.
+  // returns the token's kCancelled status when a queued caller is
+  // cancelled while waiting. A token carries no deadline, so a queued
+  // caller is never timed out here: the query's deadline
+  // (AggregationOptions::deadline) starts with its execution. A
+  // `spillable` query (one running with a spill directory configured)
+  // reserves only `options.spillable_fraction * bytes` — it sheds the rest
+  // to disk under pressure instead of holding capacity hostage to its
+  // worst case.
   Status Admit(size_t bytes, Admission* grant,
                CancellationToken token = CancellationToken(),
                bool spillable = false);

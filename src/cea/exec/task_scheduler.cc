@@ -15,16 +15,14 @@ namespace {
 
 // Worker identity of the current thread. tls_scheduler identifies the pool
 // the thread belongs to (a worker of pool A is an outside caller for pool
-// B); tls_task_depth counts the enclosing task frames on this thread —
-// plain tasks plus tasks executed while helping to drain inside a nested
-// Wait()/WaitGroup()/ParallelFor.
+// B).
 thread_local TaskScheduler* tls_scheduler = nullptr;
 thread_local int tls_worker_id = -1;
-thread_local size_t tls_task_depth = 0;
-// Group of each enclosing task frame on this thread (nullptr for groupless
-// tasks), innermost last. WaitGroup needs to know how many of its own
-// enclosing frames belong to the awaited group: those frames cannot finish
-// until WaitGroup returns and must not be counted as pending.
+// Group of each enclosing task frame on this thread — plain tasks plus
+// tasks executed while helping to drain inside a nested join — innermost
+// last. WaitGroup needs to know how many of its own enclosing frames
+// belong to the awaited group: those frames cannot finish until WaitGroup
+// returns and must not be counted as pending.
 thread_local std::vector<TaskGroup*> tls_group_stack;
 
 // How long a worker that finds the queue empty polls it before parking on
@@ -77,18 +75,6 @@ TaskGroup::~TaskGroup() {
   }
 }
 
-// Per-call state of one ParallelFor: the loop body (owned here so queued
-// tasks never reference the caller's stack frame), the index cursor, and
-// the group's completion/error bookkeeping.
-struct TaskScheduler::ForState {
-  std::function<void(int, size_t)> fn;
-  size_t n = 0;
-  std::atomic<size_t> cursor{0};
-  std::atomic<bool> failed{false};
-  size_t pending = 0;  // group tasks not yet finished, guarded by mutex_
-  Status error;        // first error of this group, guarded by mutex_
-};
-
 TaskScheduler::TaskScheduler(int num_threads) {
   CEA_CHECK_MSG(num_threads >= 1, "need at least one worker");
   workers_.reserve(num_threads);
@@ -104,32 +90,19 @@ TaskScheduler::~TaskScheduler() {
   }
   cv_.notify_all();
   for (std::thread& t : workers_) t.join();
-  // Workers are gone; any error still sitting in the pool-wide slot — left
-  // unobserved before destruction or raised by a task during the drain —
-  // can no longer reach a caller. Surface it instead of swallowing it
-  // silently (and make it fatal in debug builds, where losing an error is
-  // a bug in the calling code).
-  if (!first_error_.ok()) {
-    std::fprintf(
-        stderr,
-        "TaskScheduler destroyed with an unobserved task error: %s\n",
-        first_error_.message().c_str());
-    CEA_DCHECK(first_error_.ok());
-  }
 }
 
 void TaskScheduler::Submit(TaskGroup* group, Task task) {
-  CEA_DCHECK(group == nullptr || group->scheduler_ == this);
+  CEA_DCHECK(group->scheduler_ == this);
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    ++outstanding_;
-    if (group != nullptr) ++group->pending_;
+    ++group->pending_;
     queue_.push_back(Item{std::move(task), group});
     queued_.store(queue_.size(), std::memory_order_relaxed);
     submitted_.fetch_add(1, std::memory_order_relaxed);
   }
-  // notify_all, not notify_one: besides idle workers, callers blocked in
-  // Wait()/WaitGroup()/ParallelFor must wake to help drain the new work.
+  // notify_all, not notify_one: besides idle workers, callers blocked in a
+  // join must wake to help drain the new work.
   cv_.notify_all();
 }
 
@@ -137,51 +110,16 @@ void TaskScheduler::RunTask(std::unique_lock<std::mutex>& lock, Item item,
                             int worker_id) {
   executed_.fetch_add(1, std::memory_order_relaxed);
   lock.unlock();
-  ++tls_task_depth;
   tls_group_stack.push_back(item.group);
   Status error = RunCatching([&] { item.fn(worker_id); });
   tls_group_stack.pop_back();
-  --tls_task_depth;
   item.fn = Task();  // release captured state (run memory) outside the lock
   lock.lock();
-  if (!error.ok()) {
-    if (item.group != nullptr) {
-      if (item.group->error_.ok()) item.group->error_ = std::move(error);
-    } else if (first_error_.ok()) {
-      first_error_ = std::move(error);
-    }
+  if (!error.ok() && item.group->error_.ok()) {
+    item.group->error_ = std::move(error);
   }
-  --outstanding_;
-  if (item.group != nullptr) --item.group->pending_;
+  --item.group->pending_;
   cv_.notify_all();
-}
-
-Status TaskScheduler::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const bool from_worker = tls_scheduler == this;
-  for (;;) {
-    if (from_worker && !queue_.empty()) {
-      Item item = PopFront();
-      helped_.fetch_add(1, std::memory_order_relaxed);
-      RunTask(lock, std::move(item), tls_worker_id);
-      continue;
-    }
-    // Done when every outstanding task is an enclosing frame of a blocked
-    // Wait() — either ours (`own`) or another worker's (blocked_depth_).
-    // Such frames cannot produce further work until Wait() returns, and
-    // counting them as pending would deadlock nested/concurrent waits. A
-    // caller outside the pool encloses no frame: it waits for the blocked
-    // frames to return too, so a nested Wait() takes its own subtasks'
-    // error before this one reads first_error_.
-    const size_t own = from_worker ? tls_task_depth : 0;
-    if (outstanding_ == (from_worker ? blocked_depth_ + own : 0)) break;
-    blocked_depth_ += own;
-    cv_.wait(lock);
-    blocked_depth_ -= own;
-  }
-  Status error = std::move(first_error_);
-  first_error_ = Status();
-  return error;
 }
 
 Status TaskScheduler::WaitGroup(TaskGroup* group) {
@@ -199,23 +137,22 @@ Status TaskScheduler::WaitGroup(TaskGroup* group) {
     }
   }
   for (;;) {
+    // Done when every pending task of the group is an enclosing frame of a
+    // WaitGroup on it — ours (`own`) or another worker's (blocked_). Such
+    // frames cannot produce further work until their join returns. A
+    // caller outside the pool encloses no frame: it waits for the blocked
+    // frames to return too, so a nested WaitGroup() takes its own
+    // subtasks' error before this one reads the group's.
+    if (group->pending_ == (from_worker ? group->blocked_ + own : 0)) break;
     if (from_worker && !queue_.empty()) {
       // Help drain: run any queued task — ours or another group's — so
       // progress is guaranteed even when every worker is blocked in a
-      // nested join. Unlike frames blocked in Wait(), frames blocked here
-      // resume as soon as *this group* drains (which never requires global
-      // quiescence), so they are not added to blocked_depth_.
+      // nested join.
       Item item = PopFront();
       helped_.fetch_add(1, std::memory_order_relaxed);
       RunTask(lock, std::move(item), tls_worker_id);
       continue;
     }
-    // Done when every pending task of the group is an enclosing frame of a
-    // WaitGroup on it — ours (`own`) or another worker's (blocked_). A
-    // caller outside the pool encloses no frame: it waits for the blocked
-    // frames to return too, so a nested WaitGroup() takes its own
-    // subtasks' error before this one reads the group's.
-    if (group->pending_ == (from_worker ? group->blocked_ + own : 0)) break;
     group->blocked_ += own;
     cv_.wait(lock);
     group->blocked_ -= own;
@@ -227,54 +164,28 @@ Status TaskScheduler::WaitGroup(TaskGroup* group) {
 
 Status TaskScheduler::ParallelFor(size_t n,
                                   std::function<void(int, size_t)> fn) {
-  if (n == 0) return Status::Ok();
-  auto st = std::make_shared<ForState>();
-  st->fn = std::move(fn);
-  st->n = n;
+  // The tasks reference this frame. That is safe: none of them can join
+  // `group`, so WaitGroup returns only after every one has finished and
+  // released its closure.
+  TaskGroup group(this);
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
   const size_t tasks = std::min(static_cast<size_t>(num_threads()), n);
-
-  // The group task claims indices until the cursor is exhausted or the
-  // group failed. It records its error into the group (never into the
-  // pool-wide slot) and signs off on the group's pending count itself, so
-  // the caller can return as soon as the loop body is done everywhere.
-  auto body = [this, st](int worker_id) {
-    Status error = RunCatching([&] {
-      for (size_t i = st->cursor.fetch_add(1, std::memory_order_relaxed);
-           i < st->n && !st->failed.load(std::memory_order_relaxed);
-           i = st->cursor.fetch_add(1, std::memory_order_relaxed)) {
-        st->fn(worker_id, i);
+  for (size_t t = 0; t < tasks; ++t) {
+    Submit(&group, [&](int worker_id) {
+      try {
+        for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+             i < n && !failed.load(std::memory_order_relaxed);
+             i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+          fn(worker_id, i);
+        }
+      } catch (...) {
+        failed.store(true, std::memory_order_relaxed);
+        throw;
       }
     });
-    if (!error.ok()) st->failed.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> group_lock(mutex_);
-    if (!error.ok() && st->error.ok()) {
-      st->error = std::move(error);
-    }
-    if (--st->pending == 0) cv_.notify_all();
-  };
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  const bool from_worker = tls_scheduler == this;
-  st->pending = tasks;
-  for (size_t t = 0; t < tasks; ++t) {
-    ++outstanding_;
-    queue_.push_back(Item{body, nullptr});
   }
-  queued_.store(queue_.size(), std::memory_order_relaxed);
-  submitted_.fetch_add(tasks, std::memory_order_relaxed);
-  cv_.notify_all();
-  while (st->pending != 0) {
-    if (from_worker && !queue_.empty()) {
-      // Help drain: run any queued task (ours or unrelated) so progress is
-      // guaranteed even when every worker is blocked in a nested join.
-      Item item = PopFront();
-      helped_.fetch_add(1, std::memory_order_relaxed);
-      RunTask(lock, std::move(item), tls_worker_id);
-      continue;
-    }
-    cv_.wait(lock);
-  }
-  return std::move(st->error);
+  return WaitGroup(&group);
 }
 
 TaskScheduler::Item TaskScheduler::PopFront() {

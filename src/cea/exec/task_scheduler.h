@@ -10,23 +10,21 @@
 //
 // Recursion never blocks: a pass that finishes schedules its continuation
 // (the child buckets) instead of waiting on them, and the initiating
-// thread waits only once for global quiescence. This keeps every pool
-// thread running morsels rather than parked on join barriers.
+// thread joins its group only once. This keeps every pool thread running
+// morsels rather than parked on join barriers.
+//
+// Task groups: every task runs in a TaskGroup, which keeps the group's
+// completion accounting and first error. Several independent queries can
+// share one pool, each with its own group: WaitGroup(&g) blocks only until
+// g's tasks finished and returns only g's error, so one query's join never
+// absorbs another query's failure or tasks. Submit(task) and Wait() use
+// the pool's own group, and each ParallelFor call uses a group of its own.
 //
 // Error propagation: a task that throws does not terminate the process.
-// The worker catches the exception, records the first error as a Status
-// (a StatusError carrier keeps its typed code — cancellation and deadline
-// failures stay distinguishable), and keeps the outstanding-task
-// accounting correct, so Wait() returns the error instead of hanging.
-// ParallelFor captures errors per call and never pollutes the pool-wide
-// error slot.
-//
-// Task groups: several independent queries can share one pool. Tasks
-// submitted under a TaskGroup keep their completion accounting and first
-// error per group; WaitGroup(&g) blocks only until g's tasks finished and
-// returns only g's error, so one query's Wait never absorbs another
-// query's failure or tasks. Group-less Submit/Wait keep the original
-// pool-wide semantics.
+// The worker catches the exception, records the group's first error as a
+// Status (a StatusError carrier keeps its typed code — cancellation and
+// deadline failures stay distinguishable), and keeps the group's
+// accounting correct, so its join returns the error instead of hanging.
 //
 // Nesting: Wait(), WaitGroup() and ParallelFor may be called from inside a
 // running task. A blocked worker-side caller helps drain the queue instead
@@ -59,8 +57,9 @@ namespace cea {
 
 class TaskScheduler;
 
-// Completion/error bookkeeping for one logical stream of tasks (one query)
-// on a shared TaskScheduler. All state is guarded by the scheduler's
+// Completion/error bookkeeping for one logical stream of tasks (one query,
+// one ParallelFor call, or the pool's own Submit(task)/Wait()) on a
+// shared TaskScheduler. All state is guarded by the scheduler's
 // mutex; the group itself is just the slot the scheduler writes into. The
 // scheduler must outlive the group; destroying a group with tasks still
 // pending is a caller bug (CEA_CHECKed), and an error nobody collected via
@@ -87,39 +86,36 @@ class TaskScheduler {
   // A task receives the id of the worker executing it ([0, num_threads)),
   // which indexes per-thread contexts (hash tables, SWC buffers, run sets).
   // A task that throws is caught by the scheduler; the first error is
-  // reported by the next Wait() / WaitGroup().
+  // reported by the next WaitGroup() on the task's group.
   using Task = std::function<void(int worker_id)>;
 
   explicit TaskScheduler(int num_threads);
 
   // Drains the queue (all queued tasks still run, including tasks they
-  // submit transitively) and joins the workers. Errors raised by tasks
-  // during the drain — or left unobserved since the last Wait() — cannot
-  // reach a caller anymore: they are logged to stderr and trip a
-  // CEA_DCHECK in debug builds. Call Wait()/WaitGroup() first to observe
-  // them properly.
+  // submit transitively) and joins the workers. An error of the pool's
+  // own group left unobserved since the last Wait() — or raised by a task
+  // during the drain — cannot reach a caller anymore: the group's
+  // destructor logs it to stderr and trips a CEA_DCHECK in debug builds.
+  // Call Wait() first to observe it properly.
   ~TaskScheduler();
 
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  // Enqueues a task. May be called from worker threads (recursive
-  // scheduling of child buckets) or from outside the pool.
-  void Submit(Task task) { Submit(nullptr, std::move(task)); }
+  // Enqueues a task under the pool's own group, which Wait() joins. May
+  // be called from worker threads (recursive scheduling of child buckets)
+  // or from outside the pool.
+  void Submit(Task task) { Submit(&pool_group_, std::move(task)); }
 
-  // Enqueues a task under `group` (nullptr = pool-wide accounting). The
-  // group pointer must stay valid until the task finished.
+  // Enqueues a task under `group`, a group of this scheduler. The group
+  // must stay valid until the task finished.
   void Submit(TaskGroup* group, Task task);
 
-  // Blocks until every submitted task — including tasks submitted by
-  // running tasks, and tasks of every group — has finished, then returns
-  // the first pool-wide (group-less) error since the previous Wait() (and
-  // clears it). Callable from inside a task: the caller helps drain the
-  // queue while it waits, and tasks that are themselves blocked in Wait()
-  // do not count as pending (two tasks waiting on each other would
-  // otherwise deadlock). A caller outside the pool also waits for those,
-  // so each nested Wait() has taken its own subtasks' error first.
-  Status Wait();
+  // WaitGroup() on the pool's own group: blocks until every task submitted
+  // by Submit(task) — including such tasks submitted by running tasks —
+  // has finished, then returns their first error since the previous
+  // Wait() (and clears it). Tasks of other groups are not waited on.
+  Status Wait() { return WaitGroup(&pool_group_); }
 
   // Blocks until every task submitted under `group` has finished, then
   // returns the group's first error since the previous WaitGroup() (and
@@ -127,25 +123,27 @@ class TaskScheduler {
   // never returned here. Callable from inside a task: the caller helps
   // drain the queue — any queued task, not just the group's — while it
   // waits, and group tasks that are themselves blocked in WaitGroup() on
-  // this group do not count as pending. A caller outside the pool also
-  // waits for those, so each nested WaitGroup() has taken its own
-  // subtasks' error first.
+  // this group do not count as pending (two tasks waiting on each other
+  // would otherwise deadlock). A caller outside the pool also waits for
+  // those, so each nested WaitGroup() has taken its own subtasks' error
+  // first.
   Status WaitGroup(TaskGroup* group);
 
   // Runs fn(worker_id, index) for every index in [0, n), distributing
   // indices over the pool via an atomic cursor, and blocks until all
-  // indices ran. Returns the first error fn raised in this call (further
-  // indices are skipped once an error occurred); the pool-wide error slot
-  // read by Wait() is not touched. Callable from inside a task: the
-  // caller helps drain the queue, so nested ParallelFor cannot deadlock.
+  // indices ran. The call's tasks run in a group of its own: it returns
+  // the first error fn raised in this call (further indices are skipped
+  // once an error occurred), and no other join sees that error. Callable
+  // from inside a task: the caller helps drain the queue, so nested
+  // ParallelFor cannot deadlock.
   Status ParallelFor(size_t n, std::function<void(int, size_t)> fn);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   // Monotonic pool telemetry (relaxed atomics; snapshot and subtract for
   // per-execution deltas). `helped` counts tasks executed by a thread
-  // blocked in Wait()/WaitGroup()/ParallelFor draining the queue instead
-  // of parking — the pool's work-stealing signal.
+  // blocked in a join draining the queue instead of parking — the pool's
+  // work-stealing signal.
   struct Stats {
     uint64_t submitted = 0;
     uint64_t executed = 0;
@@ -161,10 +159,8 @@ class TaskScheduler {
 
  private:
   friend class TaskGroup;
-  struct ForState;
 
-  // One queue entry: the task plus the group whose accounting it updates
-  // (nullptr = pool-wide).
+  // One queue entry: the task plus the group whose accounting it updates.
   struct Item {
     Task fn;
     TaskGroup* group;
@@ -174,9 +170,9 @@ class TaskScheduler {
   // Pops the queue's head; mutex_ must be held.
   Item PopFront();
   // Pops nothing itself: runs `item.fn` with mutex_ released (catching and
-  // recording errors into the item's group or the pool-wide slot), then
-  // re-acquires mutex_, decrements the pending counters and wakes waiters.
-  // `lock` must be held on entry and is held on exit.
+  // recording errors into the item's group), then re-acquires mutex_,
+  // decrements the group's pending count and wakes waiters. `lock` must be
+  // held on entry and is held on exit.
   void RunTask(std::unique_lock<std::mutex>& lock, Item item, int worker_id);
 
   std::mutex mutex_;
@@ -185,14 +181,13 @@ class TaskScheduler {
   // queue_.size(), stored under mutex_ and polled without it by idle
   // workers before they park.
   std::atomic<size_t> queued_{0};
-  size_t outstanding_ = 0;     // queued + running tasks, guarded by mutex_
-  size_t blocked_depth_ = 0;   // enclosing-task frames of workers blocked in
-                               // Wait(), guarded by mutex_
-  Status first_error_;         // first pool-wide task error since last Wait()
   std::atomic<bool> shutdown_{false};  // written under mutex_
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> executed_{0};
   std::atomic<uint64_t> helped_{0};
+  // The group of Submit(task) and Wait(). Declared after mutex_, which its
+  // destructor takes, and destroyed after the workers are joined.
+  TaskGroup pool_group_{this};
   std::vector<std::thread> workers_;
 };
 

@@ -49,26 +49,6 @@ TEST(CancellationToken, CancelIsObservedWithReason) {
             std::string::npos);
 }
 
-TEST(CancellationToken, TimeoutExpiresAsDeadlineExceeded) {
-  CancellationSource source;
-  source.SetTimeout(std::chrono::microseconds(100));
-  CancellationToken token = source.token();
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_TRUE(token.status().IsDeadlineExceeded());
-  // Explicit cancellation wins over the expired deadline.
-  source.Cancel("explicit");
-  EXPECT_TRUE(token.status().IsCancelled());
-}
-
-TEST(CancellationToken, ClearedTimeoutDoesNotFire) {
-  CancellationSource source;
-  source.SetTimeout(std::chrono::microseconds(50));
-  source.SetTimeout(std::chrono::nanoseconds(0));  // clear
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_FALSE(source.token().cancelled());
-}
-
 TEST(QueryCancellation, PreCancelledExecuteFastFails) {
   CancellationSource source;
   source.Cancel("cancelled before start");

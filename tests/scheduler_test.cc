@@ -173,7 +173,7 @@ TEST(Scheduler, ParallelForPropagatesFnError) {
   });
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("index 500 failed"), std::string::npos);
-  // ParallelFor errors stay with the call; the pool-wide slot is clean.
+  // ParallelFor errors stay with the call; the pool's own group is clean.
   EXPECT_TRUE(pool.Wait().ok());
   // Later indices are skipped once the error is seen, so not all 999
   // siblings need to have run — but none may still be running.
@@ -326,8 +326,8 @@ TEST(Scheduler, StatusErrorKeepsTypedCode) {
 
 TEST(Scheduler, TaskGroupIsolatesErrorsBetweenGroups) {
   // Two queries sharing one pool: group A's failure must surface from
-  // WaitGroup(&a) only — neither from WaitGroup(&b) nor from the pool-wide
-  // Wait().
+  // WaitGroup(&a) only — neither from WaitGroup(&b) nor from Wait(), which
+  // joins the pool's own group.
   TaskScheduler pool(4);
   TaskGroup a(&pool);
   TaskGroup b(&pool);
@@ -361,8 +361,8 @@ TEST(Scheduler, TaskGroupErrorIsClearedByWaitGroup) {
 }
 
 TEST(Scheduler, WaitGroupDoesNotWaitOnOtherGroups) {
-  // WaitGroup(&fast) must return while another group's task is still
-  // blocked — group completion never requires global quiescence.
+  // WaitGroup(&fast) and Wait() must return while another group's task is
+  // still blocked — a join never requires global quiescence.
   TaskScheduler pool(2);
   TaskGroup fast(&pool);
   TaskGroup slow(&pool);
@@ -380,9 +380,36 @@ TEST(Scheduler, WaitGroupDoesNotWaitOnOtherGroups) {
   }
   EXPECT_TRUE(pool.WaitGroup(&fast).ok());
   EXPECT_EQ(fast_done.load(), 32);
+  // Wait() joins only tasks submitted without a group. It runs on another
+  // thread so that a join that waited for `slow` fails the test instead
+  // of hanging it.
+  std::future<Status> pool_wait =
+      std::async(std::launch::async, [&pool] { return pool.Wait(); });
+  EXPECT_EQ(pool_wait.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready)
+      << "Wait() waited for another group's blocked task";
   EXPECT_TRUE(slow_running.load());
   release.set_value();
+  EXPECT_TRUE(pool_wait.get().ok());
   EXPECT_TRUE(pool.WaitGroup(&slow).ok());
+}
+
+TEST(Scheduler, IgnoredParallelForErrorStaysOutOfEnclosingGroup) {
+  // A group task calls a failing ParallelFor and drops the returned
+  // status. The error belongs to the call's own group, so the enclosing
+  // group's join stays clean.
+  TaskScheduler pool(2);
+  TaskGroup g(&pool);
+  std::atomic<bool> call_failed{false};
+  pool.Submit(&g, [&](int) {
+    Status ignored = pool.ParallelFor(8, [](int, size_t i) {
+      if (i == 3) throw std::runtime_error("index 3 failed");
+    });
+    call_failed.store(!ignored.ok());
+  });
+  EXPECT_TRUE(pool.WaitGroup(&g).ok());
+  EXPECT_TRUE(call_failed.load());
+  EXPECT_TRUE(pool.Wait().ok());
 }
 
 TEST(Scheduler, WaitGroupFromWorkerHelpsDrain) {

@@ -60,14 +60,17 @@
 // Any other flag is a usage error (exit 2), and so is a count that must be
 // positive (--k, --threads, --passes, --deadline_ms, --mem_budget_mb,
 // --metrics_period_ms) given as zero or negative, a size that may be zero
-// (--n, --table_bytes, --k_hint, --c, --csv_rows) given as negative, an
-// --alpha0 that is not a finite number >= 0, an --aggs item with an unknown
-// function or a column that is not decimal digits, and a --stats value
-// other than bare --stats or --stats=json.
+// (--n, --table_bytes, --k_hint, --c, --csv_rows) given as negative, a
+// --seed that is not an unsigned 64-bit decimal integer, an unknown --dist
+// or --policy, an --alpha0 that is not a finite number >= 0, an --aggs
+// item with an unknown function or a column that is not decimal digits,
+// and a --stats value other than bare --stats or --stats=json. A
+// --keys_file that cannot be opened exits 1, like a failed query.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -161,6 +164,17 @@ bool RequireAtLeast(const cea::Flags& flags, const char* name, int min) {
   return true;
 }
 
+// Parses `v` as an unsigned 64-bit integer of decimal digits only:
+// strtoull alone would read "abc" as 0, "1x" as 1 and wrap "-3".
+bool ParseU64(const std::string& v, uint64_t* out) {
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  *out = std::strtoull(v.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -212,6 +226,38 @@ int main(int argc, char** argv) {
                    v.c_str());
       return 2;
     }
+  }
+
+  // Input shape and policy: a typo must not run some other query.
+  const std::string seed_text = flags.GetString("seed", "42");
+  uint64_t seed = 0;
+  if (!ParseU64(seed_text, &seed)) {
+    std::fprintf(stderr,
+                 "usage error: --seed=%s (must be an unsigned 64-bit decimal "
+                 "integer)\n",
+                 seed_text.c_str());
+    return 2;
+  }
+  const std::string dist_name = flags.GetString("dist", "uniform");
+  cea::Distribution dist = cea::Distribution::kUniform;
+  if (!cea::ParseDistribution(dist_name, &dist)) {
+    std::fprintf(stderr, "usage error: --dist=%s (unknown distribution)\n",
+                 dist_name.c_str());
+    return 2;
+  }
+  using PolicyKind = cea::AggregationOptions::PolicyKind;
+  const std::string policy = flags.GetString("policy", "adaptive");
+  PolicyKind policy_kind = PolicyKind::kAdaptive;
+  if (policy == "hashing") {
+    policy_kind = PolicyKind::kHashingOnly;
+  } else if (policy == "partition") {
+    policy_kind = PolicyKind::kPartitionAlways;
+  } else if (policy != "adaptive") {
+    std::fprintf(stderr,
+                 "usage error: --policy=%s (use adaptive, hashing or "
+                 "partition)\n",
+                 policy.c_str());
+    return 2;
   }
 
   std::vector<cea::AggregateSpec> specs;
@@ -301,12 +347,8 @@ int main(int argc, char** argv) {
     cea::GenParams gp;
     gp.n = flags.GetUint("n", 1 << 20);
     gp.k = flags.GetUint("k", 1 << 10);
-    gp.seed = flags.GetUint("seed", 42);
-    std::string dist = flags.GetString("dist", "uniform");
-    if (!cea::ParseDistribution(dist, &gp.dist)) {
-      std::fprintf(stderr, "unknown distribution '%s'\n", dist.c_str());
-      return 1;
-    }
+    gp.seed = seed;
+    gp.dist = dist;
     keys = cea::GenerateKeys(gp);
   }
 
@@ -343,18 +385,9 @@ int main(int argc, char** argv) {
       static_cast<int64_t>(flags.GetUint("deadline_ms", 0)));
   options.spill_dir = spill_dir;
   options.spill_threshold = spill_threshold;
-  std::string policy = flags.GetString("policy", "adaptive");
-  if (policy == "adaptive") {
-    options.policy = cea::AggregationOptions::PolicyKind::kAdaptive;
-  } else if (policy == "hashing") {
-    options.policy = cea::AggregationOptions::PolicyKind::kHashingOnly;
-  } else if (policy == "partition") {
-    options.policy = cea::AggregationOptions::PolicyKind::kPartitionAlways;
-    options.partition_passes =
-        static_cast<int>(flags.GetUint("passes", 2));
-  } else {
-    std::fprintf(stderr, "unknown policy '%s'\n", policy.c_str());
-    return 1;
+  options.policy = policy_kind;
+  if (policy_kind == PolicyKind::kPartitionAlways) {
+    options.partition_passes = static_cast<int>(flags.GetUint("passes", 2));
   }
 
   cea::InputTable input;
