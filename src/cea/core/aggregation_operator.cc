@@ -555,7 +555,11 @@ void AggregationOperator::RunPassWorker(const std::shared_ptr<Pass>& pass,
       // The aborted pass left rows in this slot's SWC lines and table.
       // Another pass of this execution that is already queued may still
       // run on this worker, and its PassContext must find both empty.
+      // The context itself is torn (unbound, and a run's columns may
+      // differ in length): a later task of the same batch on this slot
+      // must start a fresh one instead of continuing in it.
       resources_[slot]->ResetForRecovery();
+      ctx.reset();
       throw;
     }
     span.set_rows(rows);

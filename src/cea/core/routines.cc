@@ -428,8 +428,9 @@ std::vector<Morsel> MorselsForBucket(const Bucket& bucket, int key_words,
   std::vector<Morsel> morsels;
   using ChunkList = std::vector<std::pair<const uint64_t*, size_t>>;
   for (const Run& run : bucket) {
-    // Collect the chunk decomposition of every column; the deterministic
-    // chunk growth schedule guarantees identical boundaries.
+    // Collect the chunk decomposition of every column. A chunk's capacity
+    // depends only on its index (chunked_array.h), so columns of equal
+    // length have identical boundaries however they were appended.
     std::vector<ChunkList> key_chunks(key_words);
     for (int w = 0; w < key_words; ++w) {
       run.key_cols[w].ForEachChunk([&](const uint64_t* d, size_t n) {

@@ -13,12 +13,6 @@ namespace cea {
 
 namespace {
 
-// Restore appends stay within the pool's size classes: one AppendBulk of
-// more than kMaxChunkElems would allocate an unpooled oversize chunk, and
-// oversize chunks Reserve() against the budget on every allocation — the
-// restore path must live off recycled inventory when the limit is tiny.
-constexpr size_t kMaxAppendElems = ChunkedArray::kMaxChunkElems;
-
 void ThrowIo(Status s) { throw StatusError(std::move(s)); }
 
 uint64_t AlignUp(uint64_t bytes) {
@@ -307,11 +301,9 @@ void SpillManager::Restore(const PendingBucket& desc, Run* out) {
                                size_t n) {
     ChunkedArray& dst = col < key_words_ ? out->key_cols[col]
                                          : out->states[col - key_words_];
-    for (size_t i = 0; i < n; i += kMaxAppendElems) {
-      // May throw MemoryBudgetExceeded when the bucket does not fit the
-      // limit; the scheduler surfaces that as kResourceExhausted.
-      dst.AppendBulk(data + i, std::min(kMaxAppendElems, n - i));
-    }
+    // May throw MemoryBudgetExceeded when the bucket does not fit the
+    // limit; the scheduler surfaces that as kResourceExhausted.
+    dst.AppendBulk(data, n);
   };
   for (const Segment& seg : stream.segments) {
     Status rs = ReadSegment(seg, buf.get(), buf_bytes, append);

@@ -57,13 +57,8 @@ void MemoryBudget::Release(size_t bytes) {
 
 struct ChunkPool::ThreadCache {
   std::vector<uint64_t*> blocks[kNumClasses];
-  // Shard assignment rotates across threads so worker caches do not all
-  // contend on one shard when they spill or refill.
-  int shard = -1;
 
-  ~ThreadCache() {
-    if (shard >= 0) ChunkPool::Global().FlushCache(this);
-  }
+  ~ThreadCache() { ChunkPool::Global().FlushCache(this); }
 };
 
 ChunkPool& ChunkPool::Global() {
@@ -73,32 +68,16 @@ ChunkPool& ChunkPool::Global() {
 
 ChunkPool::ThreadCache& ChunkPool::Cache() {
   static thread_local ThreadCache cache;
-  if (cache.shard < 0) {
-    cache.shard =
-        next_shard_.fetch_add(1, std::memory_order_relaxed) % kNumShards;
-  }
   return cache;
 }
 
-ChunkPool::Shard& ChunkPool::ShardForThisThread() {
-  return shards_[Cache().shard];
-}
-
-void ChunkPool::RefillFromShard(int k, size_t want,
-                                std::vector<uint64_t*>* out) {
-  // Start with this thread's home shard, then steal from the others:
-  // blocks freed by a different worker sit in that worker's shard and must
-  // still be preferred over carving fresh slab memory.
-  const int home = Cache().shard;
-  for (int i = 0; i < kNumShards && want != 0; ++i) {
-    Shard& shard = shards_[(home + i) % kNumShards];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<uint64_t*>& list = shard.free_lists[k];
-    while (want != 0 && !list.empty()) {
-      out->push_back(list.back());
-      list.pop_back();
-      --want;
-    }
+void ChunkPool::Refill(int k, std::vector<uint64_t*>* out) {
+  FreeList& list = free_lists_[k];
+  std::lock_guard<std::mutex> lock(list.mutex);
+  for (size_t want = kMaxCachedPerClass / 2;
+       want != 0 && !list.blocks.empty(); --want) {
+    out->push_back(list.blocks.back());
+    list.blocks.pop_back();
   }
 }
 
@@ -126,10 +105,8 @@ uint64_t* ChunkPool::CarveFresh(size_t bytes) {
           " accounted)");
     }
 #if defined(__linux__)
-    if (huge_pages()) {
-      // Best effort; ignore failures (THP disabled, sanitizer runtimes).
-      (void)madvise(slab, kSlabBytes, MADV_HUGEPAGE);
-    }
+    // Best effort; ignore failures (THP disabled, sanitizer runtimes).
+    (void)madvise(slab, kSlabBytes, MADV_HUGEPAGE);
 #endif
     slabs_.push_back(slab);
     slabs_allocated_.fetch_add(1, std::memory_order_relaxed);
@@ -145,27 +122,9 @@ uint64_t* ChunkPool::CarveFresh(size_t bytes) {
 
 uint64_t* ChunkPool::Allocate(size_t elems) {
   const int k = SizeClass(elems);
-  if (k < 0) {
-    // Odd capacity (only produced by bulk appends larger than the class
-    // range): direct allocation, budget-accounted, never pooled.
-    size_t bytes = (elems * sizeof(uint64_t) + kCacheLineBytes - 1) &
-                   ~(kCacheLineBytes - 1);
-    MemoryBudget::Global().Reserve(bytes);
-    void* mem = std::aligned_alloc(kCacheLineBytes, bytes);
-    if (mem == nullptr) {
-      MemoryBudget::Global().Release(bytes);
-      throw MemoryBudgetExceeded("allocation failure: OS refused a " +
-                                 HumanBytes(bytes) + " oversize run chunk");
-    }
-    oversize_chunks_.fetch_add(1, std::memory_order_relaxed);
-    fresh_chunks_.fetch_add(1, std::memory_order_relaxed);
-    return static_cast<uint64_t*>(mem);
-  }
-
+  CEA_CHECK(k >= 0);
   std::vector<uint64_t*>& local = Cache().blocks[k];
-  if (local.empty()) {
-    RefillFromShard(k, kMaxCachedPerClass / 2, &local);
-  }
+  if (local.empty()) Refill(k, &local);
   if (!local.empty()) {
     uint64_t* block = local.back();
     local.pop_back();
@@ -179,26 +138,19 @@ uint64_t* ChunkPool::Allocate(size_t elems) {
 }
 
 void ChunkPool::Free(uint64_t* data, size_t elems) {
-  frees_.fetch_add(1, std::memory_order_relaxed);
   const int k = SizeClass(elems);
-  if (k < 0) {
-    size_t bytes = (elems * sizeof(uint64_t) + kCacheLineBytes - 1) &
-                   ~(kCacheLineBytes - 1);
-    std::free(data);
-    MemoryBudget::Global().Release(bytes);
-    return;
-  }
-  // Cached and sharded blocks both count as idle inventory; the counter is
+  CEA_CHECK(k >= 0);
+  frees_.fetch_add(1, std::memory_order_relaxed);
+  // Cached and shared blocks both count as idle inventory; the counter is
   // decremented only when Allocate hands a recycled block back out.
   free_bytes_.fetch_add(elems * sizeof(uint64_t), std::memory_order_relaxed);
   std::vector<uint64_t*>& local = Cache().blocks[k];
   local.push_back(data);
   if (local.size() > kMaxCachedPerClass) {
-    Shard& shard = ShardForThisThread();
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    std::vector<uint64_t*>& list = shard.free_lists[k];
+    FreeList& list = free_lists_[k];
+    std::lock_guard<std::mutex> lock(list.mutex);
     while (local.size() > kMaxCachedPerClass / 2) {
-      list.push_back(local.back());
+      list.blocks.push_back(local.back());
       local.pop_back();
     }
   }
@@ -209,7 +161,6 @@ ChunkPool::Stats ChunkPool::GetStats() const {
   s.fresh_chunks = fresh_chunks_.load(std::memory_order_relaxed);
   s.recycled_chunks = recycled_chunks_.load(std::memory_order_relaxed);
   s.slabs_allocated = slabs_allocated_.load(std::memory_order_relaxed);
-  s.oversize_chunks = oversize_chunks_.load(std::memory_order_relaxed);
   s.frees = frees_.load(std::memory_order_relaxed);
   return s;
 }
@@ -217,12 +168,11 @@ ChunkPool::Stats ChunkPool::GetStats() const {
 void ChunkPool::FlushThreadCache() { FlushCache(&Cache()); }
 
 void ChunkPool::FlushCache(ThreadCache* cache) {
-  Shard& shard = shards_[cache->shard];
-  std::lock_guard<std::mutex> lock(shard.mutex);
   for (int k = 0; k < kNumClasses; ++k) {
     std::vector<uint64_t*>& local = cache->blocks[k];
-    std::vector<uint64_t*>& list = shard.free_lists[k];
-    list.insert(list.end(), local.begin(), local.end());
+    FreeList& list = free_lists_[k];
+    std::lock_guard<std::mutex> lock(list.mutex);
+    list.blocks.insert(list.blocks.end(), local.begin(), local.end());
     local.clear();
   }
 }

@@ -10,11 +10,11 @@
 // executions:
 //
 //  * Chunk capacities follow the deterministic geometric schedule of
-//    ChunkedArray (512..8192 elements), so blocks fall into a handful of
-//    size classes. Each class has per-thread freelist caches (no locking
-//    on the common path) over mutex-sharded global freelists; blocks flow
-//    between threads through the shards, since a pass's runs are routinely
-//    freed by a different worker than the one that filled them.
+//    ChunkedArray (512..8192 elements), and those five sizes are the only
+//    ones the pool serves. Each class has per-thread freelist caches (no
+//    locking on the common path) over one mutex-guarded global freelist;
+//    blocks flow between threads through it, since a pass's runs are
+//    routinely freed by a different worker than the one that filled them.
 //  * Fresh memory is carved from 2 MiB slabs that are madvise'd to
 //    transparent huge pages (best effort, Linux only), so steady-state
 //    run storage sits on a few large mappings instead of thousands of
@@ -23,10 +23,10 @@
 //    pass allocates ~nothing from the OS.
 //
 // MemoryBudget is the process-wide accounting layer above the pool: slab
-// and oversize-chunk allocations reserve against an optional byte limit,
-// and exhaustion throws MemoryBudgetExceeded — a std::exception the task
-// scheduler's error path converts into a Status — instead of letting
-// std::bad_alloc (or an allocator abort) kill the process mid-pass.
+// allocations reserve against an optional byte limit, and exhaustion
+// throws MemoryBudgetExceeded — a std::exception the task scheduler's
+// error path converts into a Status — instead of letting std::bad_alloc
+// (or an allocator abort) kill the process mid-pass.
 
 #ifndef CEA_MEM_CHUNK_POOL_H_
 #define CEA_MEM_CHUNK_POOL_H_
@@ -58,7 +58,8 @@ class MemoryBudgetExceeded : public std::bad_alloc {
 // Process-wide byte accounting for run-store memory. A limit of 0 means
 // unlimited (accounting still runs, so used()/peak() stay meaningful).
 // All operations are lock-free; Reserve/Release cost two relaxed atomic
-// RMWs and are only on the slab/oversize allocation path, never per chunk.
+// RMWs. ChunkPool reserves once per slab it fetches and keeps every slab,
+// so used() moves only with slabs, never per chunk.
 class MemoryBudget {
  public:
   static MemoryBudget& Global();
@@ -100,7 +101,6 @@ class ChunkPool {
     uint64_t fresh_chunks = 0;     // served by carving fresh slab memory
     uint64_t recycled_chunks = 0;  // served from a freelist
     uint64_t slabs_allocated = 0;  // 2 MiB slabs fetched from the OS
-    uint64_t oversize_chunks = 0;  // non-size-class direct allocations
     uint64_t frees = 0;            // chunks returned by ChunkedArray
   };
 
@@ -109,21 +109,20 @@ class ChunkPool {
   ChunkPool(const ChunkPool&) = delete;
   ChunkPool& operator=(const ChunkPool&) = delete;
 
-  // Returns a cache-line aligned block of exactly `elems` uint64_t.
-  // Size-class requests hit the thread cache, then a shared shard, then
-  // carve a fresh slab; other sizes go straight to the OS (still budget
-  // accounted). Throws MemoryBudgetExceeded on budget/OS exhaustion.
+  // Returns a cache-line aligned block of exactly `elems` uint64_t, which
+  // must be a size class (CEA_CHECK). Requests hit the thread cache, then
+  // the class's shared freelist, then carve a fresh slab. Throws
+  // MemoryBudgetExceeded on budget/OS exhaustion.
   uint64_t* Allocate(size_t elems);
 
-  // Returns a block obtained from Allocate(elems) to the pool. Size-class
-  // blocks land in the calling thread's cache (spilling to a shard when
-  // the cache is full); oversize blocks are freed to the OS immediately.
+  // Returns a block obtained from Allocate(elems) to the calling thread's
+  // cache, moving half of it to the shared freelist when it is full.
   void Free(uint64_t* data, size_t elems);
 
   Stats GetStats() const;
 
-  // Bytes of size-class blocks currently sitting idle in thread caches or
-  // shard freelists. Because slabs are retained for the process lifetime,
+  // Bytes of blocks currently sitting idle in thread caches or shared
+  // freelists. Because slabs are retained for the process lifetime,
   // MemoryBudget::used() never shrinks; `used() - pooled_free_bytes()`
   // approximates the memory actually referenced by live runs. The spill
   // trigger does not use it (spill_manager.h explains why); it only sizes
@@ -132,21 +131,11 @@ class ChunkPool {
     return free_bytes_.load(std::memory_order_relaxed);
   }
 
-  // Moves the calling thread's cached blocks to the shared shards. Runs
+  // Moves the calling thread's cached blocks to the shared freelists. Runs
   // automatically at thread exit; exposed for tests.
   void FlushThreadCache();
 
-  // Transparent-huge-page backing for newly allocated slabs (default on;
-  // existing slabs are unaffected). Best effort — non-Linux builds and
-  // kernels without THP simply ignore it.
-  void set_huge_pages(bool enabled) {
-    huge_pages_.store(enabled, std::memory_order_relaxed);
-  }
-  bool huge_pages() const {
-    return huge_pages_.load(std::memory_order_relaxed);
-  }
-
-  // Size class of a capacity, or -1 when it is not pooled.
+  // Size class of a capacity, or -1 when it is not a class.
   static int SizeClass(size_t elems) {
     size_t c = kMinClassElems;
     for (int k = 0; k < kNumClasses; ++k, c <<= 1) {
@@ -159,31 +148,27 @@ class ChunkPool {
   ChunkPool() = default;
   ~ChunkPool() = default;
 
-  static constexpr int kNumShards = 8;
-  // Per-thread cache depth per class; half is spilled to a shard on
-  // overflow so blocks keep circulating between workers.
+  // Per-thread cache depth per class; half is moved to the shared
+  // freelist on overflow so blocks keep circulating between workers.
   static constexpr size_t kMaxCachedPerClass = 32;
 
-  struct Shard {
+  struct FreeList {
     std::mutex mutex;
-    std::vector<uint64_t*> free_lists[kNumClasses];
+    std::vector<uint64_t*> blocks;
   };
   struct ThreadCache;
 
   ThreadCache& Cache();
-  Shard& ShardForThisThread();
   void FlushCache(ThreadCache* cache);
 
-  // Takes up to `want` blocks of class `k` from a shard into `out`.
-  void RefillFromShard(int k, size_t want, std::vector<uint64_t*>* out);
+  // Moves up to half a cache of class `k` blocks from the shared freelist
+  // into `out`.
+  void Refill(int k, std::vector<uint64_t*>* out);
   // Carves one block of `bytes` from the current slab, allocating a new
   // slab (budget-accounted, THP-advised) when the tail is too small.
   uint64_t* CarveFresh(size_t bytes);
 
-  std::atomic<bool> huge_pages_{true};
-
-  Shard shards_[kNumShards];
-  std::atomic<int> next_shard_{0};
+  FreeList free_lists_[kNumClasses];
 
   std::mutex slab_mutex_;
   std::vector<void*> slabs_;    // retained for the process lifetime
@@ -195,7 +180,6 @@ class ChunkPool {
   std::atomic<uint64_t> fresh_chunks_{0};
   std::atomic<uint64_t> recycled_chunks_{0};
   std::atomic<uint64_t> slabs_allocated_{0};
-  std::atomic<uint64_t> oversize_chunks_{0};
   std::atomic<uint64_t> frees_{0};
 };
 

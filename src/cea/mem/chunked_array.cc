@@ -1,11 +1,13 @@
 #include "cea/mem/chunked_array.h"
 
+#include <algorithm>
+
 #include "cea/mem/chunk_pool.h"
 
 namespace cea {
 
-// The pool's size classes must cover the geometric chunk schedule exactly,
-// or every chunk would fall through to the unpooled oversize path.
+// The pool's size classes must cover the geometric chunk schedule exactly:
+// ChunkPool::Allocate fails its check on any other size.
 static_assert(ChunkPool::kMinClassElems == ChunkedArray::kMinChunkElems,
               "ChunkPool size classes must start at the minimum chunk size");
 static_assert(ChunkPool::kMinClassElems << (ChunkPool::kNumClasses - 1) ==
@@ -44,20 +46,17 @@ ChunkedArray& ChunkedArray::operator=(ChunkedArray&& other) noexcept {
   return *this;
 }
 
-void ChunkedArray::AddChunk(size_t min_capacity) {
+void ChunkedArray::AddChunk() {
   // Invariant: a new chunk is only linked when the tail is exhausted, so
   // all chunks except the last are completely full.
   CEA_CHECK(tail_left_ == 0);
-  size_t capacity = chunks_.empty() ? kMinChunkElems
-                                    : chunks_.back().capacity * 2;
-  if (capacity > kMaxChunkElems) capacity = kMaxChunkElems;
-  if (capacity < min_capacity) {
-    capacity = (min_capacity + kLineElems - 1) & ~(kLineElems - 1);
-  }
+  const size_t capacity =
+      chunks_.empty() ? kMinChunkElems
+                      : std::min(chunks_.back().capacity * 2, kMaxChunkElems);
   // Grow the chunk list before drawing from the pool: a bad_alloc out of
   // push_back after Allocate succeeded would strand the chunk — never
-  // returned to the pool, never released against the budget. Doubling by
-  // hand keeps the amortized growth reserve() alone would forfeit.
+  // returned to the pool. Doubling by hand keeps the amortized growth
+  // reserve() alone would forfeit.
   if (chunks_.size() == chunks_.capacity()) {
     chunks_.reserve(chunks_.empty() ? 8 : chunks_.capacity() * 2);
   }
@@ -66,7 +65,7 @@ void ChunkedArray::AddChunk(size_t min_capacity) {
   // surfaces as a Status instead of crashing mid-pass.
   uint64_t* mem = ChunkPool::Global().Allocate(capacity);
   // AppendLine NT-stores whole cache lines at the chunk base; the pool
-  // guarantees line alignment for every class including oversize.
+  // guarantees line alignment for every class.
   CEA_DCHECK((reinterpret_cast<uintptr_t>(mem) & (kCacheLineBytes - 1)) == 0);
   chunks_.push_back(Chunk{mem, capacity});
   tail_ = mem;
@@ -76,7 +75,7 @@ void ChunkedArray::AddChunk(size_t min_capacity) {
 
 void ChunkedArray::AppendBulk(const uint64_t* src, size_t n) {
   while (n != 0) {
-    if (tail_left_ == 0) AddChunk(n);
+    if (tail_left_ == 0) AddChunk();
     size_t take = n < tail_left_ ? n : tail_left_;
     std::memcpy(tail_, src, take * sizeof(uint64_t));
     tail_ += take;

@@ -12,7 +12,11 @@
 //
 // Chunk capacities grow geometrically from kMinChunkElems to
 // kMaxChunkElems, so the many small runs produced at deep recursion levels
-// do not waste memory while large runs amortize chunk management.
+// do not waste memory while large runs amortize chunk management. This
+// schedule is the only rule for chunk sizes: the k-th chunk's capacity
+// depends on k alone, never on how elements were appended, so columns of
+// equal length have equal chunk boundaries. MorselsForBucket relies on
+// that to cut a run's columns into row-aligned morsels.
 //
 // Chunk memory is drawn from the process-wide ChunkPool (chunk_pool.h):
 // the geometric schedule maps onto the pool's size classes, so the chunks
@@ -49,7 +53,7 @@ class ChunkedArray {
 
   // Appends a single element.
   void Append(uint64_t v) {
-    if (tail_left_ == 0) AddChunk(1);
+    if (tail_left_ == 0) AddChunk();
     *tail_++ = v;
     --tail_left_;
     ++size_;
@@ -120,7 +124,7 @@ class ChunkedArray {
     return c.capacity;
   }
 
-  void AddChunk(size_t min_capacity);
+  void AddChunk();
 
   std::vector<Chunk> chunks_;
   uint64_t* tail_ = nullptr;   // next write position in the tail chunk

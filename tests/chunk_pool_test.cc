@@ -5,9 +5,12 @@
 
 #include "cea/mem/chunk_pool.h"
 
+#include <atomic>
+#include <barrier>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -24,7 +27,7 @@ TEST(SizeClassTest, MatchesGeometricChunkSchedule) {
   EXPECT_EQ(ChunkPool::SizeClass(2048), 2);
   EXPECT_EQ(ChunkPool::SizeClass(4096), 3);
   EXPECT_EQ(ChunkPool::SizeClass(8192), 4);
-  // Everything off the schedule is unpooled.
+  // Everything off the schedule is not a class.
   EXPECT_EQ(ChunkPool::SizeClass(0), -1);
   EXPECT_EQ(ChunkPool::SizeClass(511), -1);
   EXPECT_EQ(ChunkPool::SizeClass(513), -1);
@@ -37,7 +40,7 @@ TEST(SizeClassTest, MatchesGeometricChunkSchedule) {
 
 TEST(ChunkPoolTest, AllocationIsCacheLineAligned) {
   ChunkPool& pool = ChunkPool::Global();
-  for (size_t elems : {size_t{512}, size_t{8192}, size_t{12345}}) {
+  for (size_t elems : {size_t{512}, size_t{8192}}) {
     uint64_t* p = pool.Allocate(elems);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kCacheLineBytes, 0u)
@@ -72,21 +75,6 @@ TEST(ChunkPoolTest, EveryCarvedBlockStaysCacheLineAligned) {
   for (auto& [p, elems] : held) pool.Free(p, elems);
 }
 
-TEST(ChunkPoolTest, OddOversizeAllocationsAreCacheLineAligned) {
-  // Oversize (unpooled) capacities with sizes that are not multiples of a
-  // cache line still come back aligned and fully writable.
-  ChunkPool& pool = ChunkPool::Global();
-  for (size_t elems : {size_t{515}, size_t{8193}, size_t{12345}}) {
-    uint64_t* p = pool.Allocate(elems);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kCacheLineBytes, 0u)
-        << "elems=" << elems;
-    p[0] = 1;
-    p[elems - 1] = 2;
-    pool.Free(p, elems);
-  }
-}
-
 TEST(ChunkPoolTest, FreedBlockIsRecycled) {
   ChunkPool& pool = ChunkPool::Global();
   uint64_t* first = pool.Allocate(1024);
@@ -115,31 +103,13 @@ TEST(ChunkPoolTest, DistinctClassesDoNotShareBlocks) {
   pool.Free(large, 8192);
 }
 
-TEST(ChunkPoolTest, OversizeAllocationsBypassThePool) {
-  ChunkPool& pool = ChunkPool::Global();
-  MemoryBudget& budget = MemoryBudget::Global();
-  constexpr size_t kElems = 100'000;  // not a size class
-  size_t used_before = budget.used();
-  ChunkPool::Stats before = pool.GetStats();
-
-  uint64_t* p = pool.Allocate(kElems);
-  ASSERT_NE(p, nullptr);
-  ChunkPool::Stats mid = pool.GetStats();
-  EXPECT_EQ(mid.oversize_chunks, before.oversize_chunks + 1);
-  EXPECT_GE(budget.used(), used_before + kElems * sizeof(uint64_t));
-
-  pool.Free(p, kElems);
-  EXPECT_EQ(budget.used(), used_before);  // released immediately, not pooled
-  EXPECT_EQ(pool.GetStats().frees, before.frees + 1);
-}
-
-TEST(ChunkPoolTest, FlushThreadCachePublishesBlocksToShards) {
+TEST(ChunkPoolTest, FlushThreadCachePublishesBlocksToSharedFreelist) {
   ChunkPool& pool = ChunkPool::Global();
   uint64_t* p = pool.Allocate(2048);
   pool.Free(p, 2048);
   pool.FlushThreadCache();
-  // The block is now in a shared shard; reallocating must still recycle
-  // (refill path) rather than carve fresh memory.
+  // The block is now in the class's shared freelist; reallocating must
+  // still recycle (refill path) rather than carve fresh memory.
   ChunkPool::Stats before = pool.GetStats();
   uint64_t* q = pool.Allocate(2048);
   ChunkPool::Stats after = pool.GetStats();
@@ -157,8 +127,8 @@ TEST(ChunkPoolTest, BlocksFreedOnAnotherThreadCirculateBack) {
 
   std::thread other([&] {
     for (uint64_t* b : blocks) ChunkPool::Global().Free(b, 4096);
-    // Thread exit flushes the cache to a shard automatically; flush
-    // explicitly too so the test does not depend on destructor order.
+    // Thread exit flushes the cache to the shared freelists automatically;
+    // flush explicitly too so the test does not depend on destructor order.
     ChunkPool::Global().FlushThreadCache();
   });
   other.join();
@@ -167,11 +137,90 @@ TEST(ChunkPoolTest, BlocksFreedOnAnotherThreadCirculateBack) {
   std::vector<uint64_t*> again;
   for (int i = 0; i < 8; ++i) again.push_back(pool.Allocate(4096));
   ChunkPool::Stats after = pool.GetStats();
-  // All eight came from freelists (possibly via a shard refill), none from
-  // fresh slab memory.
+  // All eight came from freelists (via a refill from the shared one), none
+  // from fresh slab memory.
   EXPECT_EQ(after.recycled_chunks, before.recycled_chunks + 8);
   EXPECT_EQ(after.fresh_chunks, before.fresh_chunks);
   for (uint64_t* b : again) pool.Free(b, 4096);
+}
+
+TEST(ChunkPoolTest, CrossThreadFreesNeverHandOutABlockTwice) {
+  // Four threads allocate blocks of every class, then each frees the
+  // blocks its neighbour allocated, for 50 rounds. Each thread takes more
+  // blocks per class than its cache holds, so every round overflows and
+  // drains the caches through the shared per-class freelists.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  constexpr int kPerClass = 40;
+  const size_t classes[] = {512, 1024, 2048, 4096, 8192};
+  struct Held {
+    uint64_t* data;
+    size_t elems;
+    uint64_t tag;
+  };
+  ChunkPool& pool = ChunkPool::Global();
+  const ChunkPool::Stats before = pool.GetStats();
+  std::vector<std::vector<Held>> held(kThreads);
+  std::atomic<int> held_twice{0};
+  std::atomic<int> overwritten{0};
+  std::barrier sync(kThreads);
+  auto worker = [&](int t) {
+    for (int round = 0; round < kRounds; ++round) {
+      for (int k = 0; k < ChunkPool::kNumClasses; ++k) {
+        for (int i = 0; i < kPerClass; ++i) {
+          const size_t elems = classes[k];
+          const uint64_t tag = (uint64_t{1} << 63) |
+                               (static_cast<uint64_t>(round) << 32) |
+                               static_cast<uint64_t>((t << 16) | (k << 8) | i);
+          uint64_t* p = pool.Allocate(elems);
+          p[0] = tag;
+          p[elems - 1] = tag;
+          held[t].push_back({p, elems, tag});
+        }
+      }
+      sync.arrive_and_wait();
+      if (t == 0) {
+        std::unordered_set<uint64_t*> seen;
+        for (const std::vector<Held>& blocks : held) {
+          for (const Held& h : blocks) {
+            if (!seen.insert(h.data).second) held_twice.fetch_add(1);
+          }
+        }
+      }
+      sync.arrive_and_wait();
+      for (const Held& h : held[(t + 1) % kThreads]) {
+        if (h.data[0] != h.tag || h.data[h.elems - 1] != h.tag) {
+          overwritten.fetch_add(1);
+        }
+        pool.Free(h.data, h.elems);
+      }
+      held[(t + 1) % kThreads].clear();
+      sync.arrive_and_wait();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) threads.emplace_back(worker, t);
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(held_twice.load(), 0);
+  EXPECT_EQ(overwritten.load(), 0);
+  const ChunkPool::Stats after = pool.GetStats();
+  const uint64_t frees = after.frees - before.frees;
+  EXPECT_EQ(frees, uint64_t{kThreads} * kRounds * ChunkPool::kNumClasses *
+                       kPerClass);
+  EXPECT_EQ((after.fresh_chunks - before.fresh_chunks) +
+                (after.recycled_chunks - before.recycled_chunks),
+            frees);
+}
+
+TEST(ChunkPoolDeathTest, NonClassSizeFailsItsCheck) {
+  // The geometric schedule is the only chunk size; anything else is a
+  // caller bug, not a request to allocate outside the pool.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(ChunkPool::Global().Allocate(12345),
+               "CEA_CHECK failed: k >= 0");
+  EXPECT_DEATH(ChunkPool::Global().Free(nullptr, 12345),
+               "CEA_CHECK failed: k >= 0");
 }
 
 TEST(MemoryBudgetTest, ReserveReleaseAndPeakTracking) {
@@ -247,43 +296,6 @@ TEST(MemoryBudgetTest, PoolAllocationsHitTheLimit) {
   uint64_t* p = pool.Allocate(8192);
   EXPECT_NE(p, nullptr);
   pool.Free(p, 8192);
-}
-
-TEST(MemoryBudgetTest, OversizeChunksAloneExhaustTheBudget) {
-  // Oversize chunks bypass the slab carver entirely, so their accounting
-  // is a separate code path: each Allocate must Reserve and each Free must
-  // Release, with nothing pooled in between. Exhaust the budget purely
-  // through oversize chunks to prove the path is wired to the limit.
-  ChunkPool& pool = ChunkPool::Global();
-  MemoryBudget& budget = MemoryBudget::Global();
-  constexpr size_t kElems = 100'000;  // not a size class
-  constexpr size_t kBytes = kElems * sizeof(uint64_t);
-  const size_t used_before = budget.used();
-  // Room for exactly two oversize chunks on top of current usage.
-  budget.SetLimit(used_before + 2 * kBytes + 1024);
-
-  std::vector<uint64_t*> taken;
-  bool threw = false;
-  std::string message;
-  try {
-    for (int i = 0; i < 3; ++i) taken.push_back(pool.Allocate(kElems));
-  } catch (const MemoryBudgetExceeded& e) {
-    threw = true;
-    message = e.what();
-  }
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(taken.size(), 2u);
-  // The failed Reserve rolled back: usage reflects the two live chunks
-  // only, so freeing them restores the starting level exactly.
-  EXPECT_NE(message.find("memory budget"), std::string::npos) << message;
-  for (uint64_t* b : taken) pool.Free(b, kElems);
-  EXPECT_EQ(budget.used(), used_before);
-
-  // With the freed headroom the same allocation succeeds again.
-  uint64_t* p = pool.Allocate(kElems);
-  EXPECT_NE(p, nullptr);
-  pool.Free(p, kElems);
-  budget.SetLimit(0);
 }
 
 TEST(ChunkedArrayPoolTest, ClearReturnsChunksForRecycling) {

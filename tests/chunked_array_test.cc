@@ -146,12 +146,13 @@ TEST(ChunkedArray, ChunkSizesGrowGeometrically) {
 }
 
 TEST(ChunkedArray, DeterministicChunkBoundaries) {
-  // Two arrays receiving the same total element count through different
+  // Arrays receiving the same total element count through different
   // append call patterns must have identical chunk boundaries — the
   // morsel builder relies on this invariant.
-  ChunkedArray a, b;
+  ChunkedArray a, b, c;
   std::vector<uint64_t> payload(30000, 1);
-  // a: elementwise; b: bulk in awkward pieces.
+  // a: elementwise; b: bulk in awkward pieces; c: two bulk appends larger
+  // than the chunks they land in, as a spill restore makes them.
   for (uint64_t v : payload) a.Append(v);
   size_t off = 0;
   Rng rng(3);
@@ -160,10 +161,14 @@ TEST(ChunkedArray, DeterministicChunkBoundaries) {
     b.AppendBulk(payload.data() + off, n);
     off += n;
   }
-  std::vector<size_t> sa, sb;
+  c.AppendBulk(payload.data(), 1072);
+  c.AppendBulk(payload.data() + 1072, payload.size() - 1072);
+  std::vector<size_t> sa, sb, sc;
   a.ForEachChunk([&](const uint64_t*, size_t n) { sa.push_back(n); });
   b.ForEachChunk([&](const uint64_t*, size_t n) { sb.push_back(n); });
+  c.ForEachChunk([&](const uint64_t*, size_t n) { sc.push_back(n); });
   EXPECT_EQ(sa, sb);
+  EXPECT_EQ(sa, sc);
 }
 
 TEST(ChunkedArray, CopyTo) {

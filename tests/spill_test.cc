@@ -1,6 +1,7 @@
 // Tests of the spill-to-disk degradation path: the SpillFile I/O
 // primitive (including concurrent block reads beside appends and the
-// rollback of an abandoned segment), SpillManager segment round-trips and
+// rollback of an abandoned segment), SpillManager segment round-trips,
+// chunk-aligned restores of segments wider than the read window and
 // restore-wave admission, the operator completing group-bys whose working
 // set exceeds the memory budget (verified against the unlimited-budget
 // reference, batch and streaming), one spill file serving every execution
@@ -23,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "cea/core/routines.h"
 #include "cea/core/spill_manager.h"
 #include "cea/core/stats_io.h"
 #include "cea/datagen/generators.h"
@@ -315,6 +317,57 @@ TEST(SpillManager, SegmentRoundTripConcatenatesRuns) {
   EXPECT_TRUE(mgr.TakeWave(1).empty());
 }
 
+// A segment wider than the 1 MiB read window reaches Restore in slices
+// that start mid-column. The restored columns must still share chunk
+// boundaries, which MorselsForBucket needs to cut row-aligned morsels.
+TEST(SpillManager, RestoreOfSegmentWiderThanWindowKeepsColumnsAligned) {
+  StateLayout layout({{AggFn::kCount, -1}, {AggFn::kSum, 0}});
+  SpillManager::Config config;
+  config.dir = SpillDir();
+  SpillFile file;
+  SpillManager mgr(config, /*key_words=*/1, layout, /*control=*/nullptr,
+                   &file);
+
+  // Three words per row: the first window ends 1,072 rows into the sum
+  // column, and the second holds the rest of it.
+  const size_t n = 65000;
+  ASSERT_GT(n * 3 * sizeof(uint64_t), SpillFile::kBufBytes);
+  ::cea::Run run(1, layout);
+  for (size_t i = 0; i < n; ++i) {
+    run.key_cols[0].Append(i);
+    run.states[0].Append(i % 7 + 1);
+    run.states[1].Append(3 * i);
+  }
+  const uint64_t key = SpillManager::PartitionKey(1, 0);
+  mgr.SpillRun(key, &run);
+  mgr.EnqueueBucket(key, /*level=*/1);
+  std::vector<SpillManager::PendingBucket> wave = mgr.TakeWave(1);
+  ASSERT_EQ(wave.size(), 1u);
+  Bucket bucket;
+  bucket.emplace_back(1, layout);
+  mgr.Restore(wave[0], &bucket[0]);
+
+  auto chunk_sizes = [](const ChunkedArray& col) {
+    std::vector<size_t> sizes;
+    col.ForEachChunk([&](const uint64_t*, size_t c) { sizes.push_back(c); });
+    return sizes;
+  };
+  const std::vector<size_t> key_sizes = chunk_sizes(bucket[0].key_cols[0]);
+  ASSERT_EQ(chunk_sizes(bucket[0].states[0]), key_sizes);
+  ASSERT_EQ(chunk_sizes(bucket[0].states[1]), key_sizes);
+
+  size_t row = 0;
+  for (const Morsel& m : MorselsForBucket(bucket, 1, layout)) {
+    ASSERT_EQ(m.cols.size(), 2u);
+    for (size_t i = 0; i < m.n; ++i, ++row) {
+      ASSERT_EQ(m.key_cols[0][i], row);
+      ASSERT_EQ(m.cols[0][i], row % 7 + 1) << "row " << row;
+      ASSERT_EQ(m.cols[1][i], 3 * row) << "row " << row;
+    }
+  }
+  EXPECT_EQ(row, n);
+}
+
 TEST(SpillManager, RestoreWaveSizeFollowsFreeRoom) {
   const std::vector<uint64_t> bytes = {100, 200, 300, 400, 500, 600};
   const uint64_t unlimited = std::numeric_limits<uint64_t>::max();
@@ -421,8 +474,7 @@ TEST(SpillOperator, ExhaustionUnwindLeaksNothing) {
     ChunkPool::Global().FlushThreadCache();
     ChunkPool::Stats after = ChunkPool::Global().GetStats();
     uint64_t allocated = (after.fresh_chunks - before.fresh_chunks) +
-                         (after.recycled_chunks - before.recycled_chunks) +
-                         (after.oversize_chunks - before.oversize_chunks);
+                         (after.recycled_chunks - before.recycled_chunks);
     uint64_t freed = after.frees - before.frees;
     EXPECT_EQ(allocated, freed)
         << "round " << round << ": chunks leaked across the unwind";

@@ -4,12 +4,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cea/common/random.h"
 #include "cea/datagen/generators.h"
+#include "cea/exec/task_scheduler.h"
+#include "cea/mem/chunk_pool.h"
 #include "test_util.h"
 
 namespace cea {
@@ -256,6 +260,55 @@ TEST(Streaming, InjectedFaultInFinishPropagatesAndStreamRecovers) {
   // The operator recovered: stream again, disarm the hook, and compare.
   armed->store(false);
   StreamAndCompare(keys, values, /*batch_rows=*/7777, options);
+}
+
+// One batch on a shared two-worker pool whose other worker is held by
+// another group, so the free worker runs both of the batch's tasks under
+// a budget that fails the first one mid-batch. That task leaves its
+// worker's stream context torn (SWC bindings reset, a run's key column
+// possibly longer than its state column); the second task must not
+// continue in it. Returns 0 when the batch fails cleanly with
+// kResourceExhausted.
+int ConsumeBatchAfterATaskFailsOnTheSameWorker() {
+  GenParams gp;
+  gp.n = 1 << 20;
+  gp.k = gp.n;
+  Column keys = GenerateKeys(gp);
+  TaskScheduler pool(2);
+  TaskGroup other(&pool);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  pool.Submit(&other, [&](int) {
+    held.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!held.load()) std::this_thread::yield();
+  Status s;
+  {
+    AggregationOptions options = TinyCacheOptions(2);
+    options.scheduler = &pool;
+    options.policy = AggregationOptions::PolicyKind::kPartitionAlways;
+    AggregationOperator op({{AggFn::kCount, -1}}, options);
+    MemoryBudget& budget = MemoryBudget::Global();
+    budget.SetLimit(budget.used() + ChunkPool::kSlabBytes);
+    InputTable batch;
+    batch.keys = keys.data();
+    batch.num_rows = keys.size();
+    s = op.BeginStream(1);
+    if (s.ok()) s = op.ConsumeBatch(batch);
+    budget.SetLimit(0);
+  }
+  release.store(true);
+  (void)pool.WaitGroup(&other);
+  return s.code() == StatusCode::kResourceExhausted ? 0 : 1;
+}
+
+TEST(StreamingDeathTest, FailedTaskLeavesNoContextToTheNextTaskOnItsWorker) {
+  // Run in a fresh process: its empty pool makes the budget trip at the
+  // same point every time.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(std::exit(ConsumeBatchAfterATaskFailsOnTheSameWorker()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Streaming, ExecuteWorksAfterFailedStream) {

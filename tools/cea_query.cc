@@ -26,8 +26,6 @@
 //   --mem_budget_mb=N             cap run-store memory at N MiB; exceeding
 //                                 the cap fails the query with a status.
 //                                 Must be positive (omit for unlimited).
-//                                 --no_huge_pages disables the THP madvise
-//                                 on fresh pool slabs.
 //   --spill_dir=PATH              under memory pressure, spill partition
 //                                 runs to unlinked temp files in PATH and
 //                                 stream them back instead of failing with
@@ -62,9 +60,10 @@
 // --metrics_period_ms) given as zero or negative, a size that may be zero
 // (--n, --table_bytes, --k_hint, --c, --csv_rows) given as negative, a
 // --seed that is not an unsigned 64-bit decimal integer, an unknown --dist
-// or --policy, an --alpha0 that is not a finite number >= 0, an --aggs
-// item with an unknown function or a column that is not decimal digits,
-// and a --stats value other than bare --stats or --stats=json. A
+// or --policy, an --alpha0 that is not a finite number >= 0, a
+// --spill_threshold that is not a number in (0, 1] (nan included), an
+// --aggs item with an unknown function or a column that is not decimal
+// digits, and a --stats value other than bare --stats or --stats=json. A
 // --keys_file that cannot be opened exits 1, like a failed query.
 
 #include <sys/stat.h>
@@ -188,9 +187,9 @@ int main(int argc, char** argv) {
   const std::string unknown = flags.FirstUnknown(
       {"help", "n", "k", "dist", "seed", "keys_file", "aggs", "threads",
        "table_bytes", "policy", "passes", "alpha0", "c", "k_hint",
-       "deadline_ms", "mem_budget_mb", "no_huge_pages", "spill_dir",
-       "spill_threshold", "csv", "csv_rows", "stats", "trace", "profile",
-       "metrics", "metrics_jsonl", "metrics_period_ms"});
+       "deadline_ms", "mem_budget_mb", "spill_dir", "spill_threshold", "csv",
+       "csv_rows", "stats", "trace", "profile", "metrics", "metrics_jsonl",
+       "metrics_period_ms"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "usage error: unknown flag %s (see --help)\n",
                  unknown.c_str());
@@ -287,8 +286,9 @@ int main(int argc, char** argv) {
     std::string v = flags.GetString("spill_threshold", "");
     char* end = nullptr;
     spill_threshold = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0' || spill_threshold <= 0.0 ||
-        spill_threshold > 1.0) {
+    // Written so that NaN, which fails every comparison, is rejected too.
+    if (end == v.c_str() || *end != '\0' ||
+        !(spill_threshold > 0.0 && spill_threshold <= 1.0)) {
       std::fprintf(stderr,
                    "usage error: --spill_threshold=%s (must be a fraction in "
                    "(0, 1])\n",
@@ -367,12 +367,9 @@ int main(int argc, char** argv) {
     spec.input_column = it->second;
   }
 
-  // Run-store memory knobs (process-wide, set before the operator runs).
+  // Run-store memory budget (process-wide, set before the operator runs).
   cea::MemoryBudget::Global().SetLimit(flags.GetUint("mem_budget_mb", 0) *
                                        (size_t{1} << 20));
-  if (flags.Has("no_huge_pages")) {
-    cea::ChunkPool::Global().set_huge_pages(false);
-  }
 
   // Operator options.
   cea::AggregationOptions options;
